@@ -1,0 +1,12 @@
+"""Make ``perfbench`` and the simulator importable from a checkout.
+
+Run with ``python -m pytest perfbench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for entry in (ROOT / "src", ROOT):
+    if str(entry) not in sys.path:
+        sys.path.insert(0, str(entry))
