@@ -82,26 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="library, schedulers, and topology info")
 
     scenario = sub.add_parser("scenario", help="run one scenario")
-    scenario.add_argument("--structure", default="fb-tao")
-    scenario.add_argument("--jobs", type=int, default=40)
-    scenario.add_argument(
-        "--arrival", default="uniform",
-        choices=["uniform", "poisson", "bursty", "simultaneous"],
-    )
-    scenario.add_argument("--seed", type=int, default=42)
-    scenario.add_argument("--load", type=float, default=1.5)
-    scenario.add_argument(
-        "--topology", default="fattree", choices=["fattree", "bigswitch"],
-    )
-    scenario.add_argument("--fattree-k", type=int, default=8)
+    _add_scenario_flags(scenario, jobs=40)
     scenario.add_argument(
         "--hosts", type=int, default=0,
         help="host count for --topology bigswitch (0 = default 16)",
-    )
-    scenario.add_argument(
-        "--schedulers",
-        default="pfs,baraat,stream,aalo,gurita",
-        help="comma-separated policy names",
     )
     _add_fault_flags(scenario)
     _add_supervisor_flags(scenario)
@@ -119,21 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
     trials = sub.add_parser(
         "trials", help="replay one scenario across seeds (mean ± std)"
     )
-    trials.add_argument("--structure", default="fb-tao")
-    trials.add_argument("--jobs", type=int, default=30)
-    trials.add_argument(
-        "--arrival", default="uniform",
-        choices=["uniform", "poisson", "bursty", "simultaneous"],
-    )
-    trials.add_argument("--load", type=float, default=1.5)
-    trials.add_argument("--fattree-k", type=int, default=8)
+    _add_scenario_flags(trials, jobs=30, fabric=False)
     trials.add_argument(
         "--seeds", default="1,2,3", help="comma-separated replicate seeds"
-    )
-    trials.add_argument(
-        "--schedulers",
-        default="pfs,baraat,stream,aalo,gurita",
-        help="comma-separated policy names",
     )
     trials.add_argument(
         "--gaps", action="store_true",
@@ -146,18 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos", help="compare schedulers on a faulted vs perfect fabric"
     )
-    chaos.add_argument("--structure", default="fb-tao")
-    chaos.add_argument("--jobs", type=int, default=40)
-    chaos.add_argument(
-        "--arrival", default="uniform",
-        choices=["uniform", "poisson", "bursty", "simultaneous"],
-    )
-    chaos.add_argument("--seed", type=int, default=42)
-    chaos.add_argument("--load", type=float, default=1.5)
-    chaos.add_argument(
-        "--topology", default="fattree", choices=["fattree", "bigswitch"],
-    )
-    chaos.add_argument("--fattree-k", type=int, default=8)
+    _add_scenario_flags(chaos, jobs=40)
     chaos.add_argument(
         "--profiles",
         default=",".join(CANNED_PROFILES),
@@ -171,11 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument(
         "--fault-seed", type=int, default=0,
         help="pin the fault streams (0 = derive from the workload seed)",
-    )
-    chaos.add_argument(
-        "--schedulers",
-        default="pfs,baraat,stream,aalo,gurita",
-        help="comma-separated policy names",
     )
     _add_engine_flags(chaos)
 
@@ -242,6 +198,34 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--stats", metavar="PATH", help="summarise a trace file")
 
     return parser
+
+
+def _add_scenario_flags(
+    sub: argparse.ArgumentParser, jobs: int, fabric: bool = True
+) -> None:
+    """The workload and policy knobs of scenario-shaped subcommands.
+
+    ``fabric`` adds the single ``--seed`` and the ``--topology`` choice;
+    ``trials`` sweeps its own seed list on the default fabric instead.
+    """
+    sub.add_argument("--structure", default="fb-tao")
+    sub.add_argument("--jobs", type=int, default=jobs)
+    sub.add_argument(
+        "--arrival", default="uniform",
+        choices=["uniform", "poisson", "bursty", "simultaneous"],
+    )
+    sub.add_argument("--load", type=float, default=1.5)
+    sub.add_argument("--fattree-k", type=int, default=8)
+    if fabric:
+        sub.add_argument("--seed", type=int, default=42)
+        sub.add_argument(
+            "--topology", default="fattree", choices=["fattree", "bigswitch"],
+        )
+    sub.add_argument(
+        "--schedulers",
+        default="pfs,baraat,stream,aalo,gurita",
+        help="comma-separated policy names",
+    )
 
 
 def _add_fault_flags(sub: argparse.ArgumentParser) -> None:

@@ -2,8 +2,8 @@
 
 A checkpoint captures the **complete** mutable state of a
 :class:`~repro.simulator.runtime.CoflowSimulation` mid-run — the event
-queue (either storage variant, including the monotonic watermark and
-the sequence counter), the incremental
+queue (including the monotonic watermark and the sequence counter),
+the incremental
 :class:`~repro.simulator.bandwidth.engine.AllocationState`, every
 job/coflow/flow progress record, the scheduler's state via the
 :meth:`~repro.schedulers.base.SchedulerPolicy.snapshot_state` contract,

@@ -29,12 +29,7 @@ from repro.jobs.job import Job
 from repro.schedulers.context import SchedulerContext
 from repro.simulator.bandwidth.engine import AllocationState, EngineStats
 from repro.simulator.bandwidth.request import dispatch_allocation
-from repro.simulator.events import (
-    Event,
-    EventKind,
-    EventQueueBase,
-    make_event_queue,
-)
+from repro.simulator.events import Event, EventKind, EventQueue
 from repro.simulator.faults import (
     HR_DELAY,
     HR_DROP,
@@ -137,7 +132,6 @@ class CoflowSimulation:
         check_invariants: Optional[bool] = None,
         strict_invariants: Optional[bool] = None,
         faults: Optional[FaultProfile] = None,
-        event_queue: str = "heap",
         checkpoint_every: Optional[float] = None,
         checkpoint_path: Union[str, "os.PathLike[str]", None] = None,
     ) -> None:
@@ -184,7 +178,7 @@ class CoflowSimulation:
         self.scheduler.bind(
             SchedulerContext(self.jobs, self.coflows, self._job_bytes)
         )
-        self._queue: EventQueueBase = make_event_queue(event_queue)
+        self._queue = EventQueue()
         self._capacities = self.topology.links.capacities()
         #: pristine capacity vector; repairs restore revoked links from it
         self._nominal_caps: List[float] = list(self._capacities)
@@ -410,7 +404,7 @@ class CoflowSimulation:
         for name, value in state["fields"].items():
             setattr(sim, name, value)
         queue_cls = state["queue"]["class"]
-        queue: EventQueueBase = queue_cls()
+        queue: EventQueue = queue_cls()
         queue.restore_state(state["queue"]["state"])
         sim._queue = queue
         scheduler_cls = state["scheduler"]["class"]
@@ -895,13 +889,12 @@ def simulate(
     until: Optional[float] = None,
     use_engine: bool = True,
     faults: Optional[FaultProfile] = None,
-    event_queue: str = "heap",
     checkpoint_every: Optional[float] = None,
     checkpoint_path: Union[str, "os.PathLike[str]", None] = None,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`CoflowSimulation` and run it."""
     return CoflowSimulation(
         topology, scheduler, jobs, router=router, use_engine=use_engine,
-        faults=faults, event_queue=event_queue,
-        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
+        faults=faults, checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
     ).run(until=until)

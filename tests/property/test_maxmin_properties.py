@@ -10,8 +10,12 @@ NUM_LINKS = 6
 
 
 @st.composite
-def allocation_problems(draw):
-    """Random (flow_routes, capacities) with up to 12 flows on 6 links."""
+def allocation_problems(draw, max_dead_links=0):
+    """Random (flow_routes, capacities) with up to 12 flows on 6 links.
+
+    ``max_dead_links`` zeroes up to that many capacities, the state a
+    fault-revoked link leaves behind.
+    """
     num_flows = draw(st.integers(min_value=1, max_value=12))
     flow_routes = {}
     for flow_id in range(num_flows):
@@ -32,6 +36,16 @@ def allocation_problems(draw):
             max_size=NUM_LINKS,
         )
     )
+    if max_dead_links:
+        dead = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=NUM_LINKS - 1),
+                max_size=max_dead_links,
+                unique=True,
+            )
+        )
+        for link in dead:
+            capacities[link] = 0.0
     return flow_routes, capacities
 
 
@@ -43,7 +57,7 @@ def link_usage(flow_routes, rates):
     return usage
 
 
-@given(allocation_problems())
+@given(allocation_problems(max_dead_links=2))
 @settings(max_examples=200, deadline=None)
 def test_maxmin_never_oversubscribes(problem):
     flow_routes, capacities = problem
@@ -52,7 +66,7 @@ def test_maxmin_never_oversubscribes(problem):
         assert used <= capacities[link] * (1 + 1e-6) + 1e-6
 
 
-@given(allocation_problems())
+@given(allocation_problems(max_dead_links=2))
 @settings(max_examples=200, deadline=None)
 def test_maxmin_rates_non_negative_and_complete(problem):
     flow_routes, capacities = problem
@@ -61,7 +75,7 @@ def test_maxmin_rates_non_negative_and_complete(problem):
     assert all(rate >= 0.0 for rate in rates.values())
 
 
-@given(allocation_problems())
+@given(allocation_problems(max_dead_links=2))
 @settings(max_examples=200, deadline=None)
 def test_maxmin_saturates_each_flows_bottleneck(problem):
     """Max-min optimality: every flow has at least one saturated link
@@ -76,7 +90,7 @@ def test_maxmin_saturates_each_flows_bottleneck(problem):
         ), f"flow {flow_id} has slack on every link"
 
 
-@given(allocation_problems())
+@given(allocation_problems(max_dead_links=2))
 @settings(max_examples=150, deadline=None)
 def test_maxmin_bottleneck_fairness(problem):
     """Bertsekas-Gallager characterisation: every flow has a bottleneck

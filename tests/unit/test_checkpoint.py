@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+import repro.simulator.events as events
 from repro.errors import CheckpointError
 from repro.experiments.common import ScenarioConfig, build_jobs, build_topology
 from repro.schedulers.registry import make_scheduler
@@ -137,6 +138,31 @@ class TestRestore:
             CoflowSimulation(
                 topology, make_scheduler("pfs"), jobs, checkpoint_every=1.0
             )
+
+    def test_bucket_queue_checkpoint_is_typed_error(self, tmp_path, monkeypatch):
+        """A checkpoint naming the deleted bucket queue class fails with a
+        typed error at unpickle time, not an AttributeError or a later
+        restore failure."""
+
+        class BucketEventQueue(events.EventQueue):
+            pass
+
+        BucketEventQueue.__module__ = events.__name__
+        BucketEventQueue.__qualname__ = "BucketEventQueue"
+        monkeypatch.setattr(
+            events, "BucketEventQueue", BucketEventQueue, raising=False
+        )
+        sim = _small_sim()
+        sim.run(until=0.005)
+        sim._queue.__class__ = BucketEventQueue
+        path = tmp_path / "bucket.ckpt"
+        write_checkpoint(sim, path)
+        monkeypatch.delattr(events, "BucketEventQueue")
+
+        with pytest.raises(CheckpointError, match="does not decode") as info:
+            restore_simulation(path)
+        assert type(info.value) is CheckpointError
+        assert isinstance(info.value.__cause__, AttributeError)
 
     def test_scheduler_class_mismatch_rejected(self, tmp_path):
         sim = _small_sim()

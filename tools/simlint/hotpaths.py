@@ -55,23 +55,17 @@ REGISTRY = HotPathRegistry(
         "repro.simulator.bandwidth.maxmin.water_fill",
         "repro.simulator.bandwidth.maxmin.water_fill_membership",
         "repro.simulator.bandwidth.maxmin._water_fill_scalar",
-        "repro.simulator.bandwidth.maxmin._water_fill_vectorized",
         # Incremental allocation engine epoch methods.
         "repro.simulator.bandwidth.engine.AllocationState.allocate",
         "repro.simulator.bandwidth.engine.AllocationState.add_flow",
         "repro.simulator.bandwidth.engine.AllocationState.remove_flow",
         "repro.simulator.bandwidth.engine.AllocationState.update_route",
         "repro.simulator.bandwidth.engine.AllocationState.set_capacity",
-        # Event queue (both variants): every event passes through here.
-        "repro.simulator.events.EventQueueBase.push",
-        "repro.simulator.events.EventQueueBase.pop",
-        "repro.simulator.events.EventQueueBase.has_event_within",
-        "repro.simulator.events.EventQueue._store",
-        "repro.simulator.events.EventQueue._take",
+        # Event queue: every event passes through here.
+        "repro.simulator.events.EventQueue.push",
+        "repro.simulator.events.EventQueue.pop",
+        "repro.simulator.events.EventQueue.has_event_within",
         "repro.simulator.events.EventQueue.peek_time",
-        "repro.simulator.events.BucketEventQueue._store",
-        "repro.simulator.events.BucketEventQueue._take",
-        "repro.simulator.events.BucketEventQueue.peek_time",
         # Memoized ECMP route decisions.
         "repro.simulator.routing.ecmp.EcmpRouter.route_flow",
         # The runtime event loop proper (run() is setup/teardown).
@@ -91,7 +85,6 @@ REGISTRY = HotPathRegistry(
         "repro.simulator.bandwidth.maxmin.LinkMembership.from_routes",
         "repro.simulator.bandwidth.maxmin.LinkMembership.add",
         "repro.simulator.bandwidth.maxmin.LinkMembership.remove",
-        "repro.simulator.bandwidth.maxmin.LinkMembership.csr",
         # Priority-class allocators dispatched per epoch.
         "repro.simulator.bandwidth.spq.group_by_class",
         "repro.simulator.bandwidth.spq.allocate_spq",
@@ -109,10 +102,6 @@ REGISTRY = HotPathRegistry(
         "repro.simulator.bandwidth.engine.AllocationState._rebuild_class_members",
         "repro.simulator.bandwidth.engine.AllocationState._apply_priority_deltas",
         "repro.simulator.bandwidth.engine.AllocationState._compute",
-        # Queue hooks on the base class (virtual dispatch targets).
-        "repro.simulator.events.EventQueueBase._store",
-        "repro.simulator.events.EventQueueBase._take",
-        "repro.simulator.events.EventQueueBase.peek_time",
         # Blessed time comparison helpers (called per event batch).
         "repro.simulator.timecmp.time_resolution",
         "repro.simulator.timecmp.times_close",

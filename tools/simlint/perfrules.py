@@ -78,9 +78,8 @@ PERF_RULES: Tuple[PerfRule, ...] = (
         description=(
             "Scalar item access on a numpy array inside a hot loop. "
             "Python-level numpy indexing is several times slower than "
-            "plain list indexing at hot-path sizes (the PR-6 "
-            "_VECTOR_DISPATCH calibration result) — use lists or hoist "
-            "with .tolist()."
+            "plain list indexing at hot-path sizes (measured in "
+            "docs/performance.md) — use lists or hoist with .tolist()."
         ),
     ),
     PerfRule(
