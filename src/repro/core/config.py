@@ -8,6 +8,7 @@ from typing import Optional
 from repro.errors import SchedulerError
 from repro.schedulers.thresholds import ExponentialThresholds
 from repro.simulator.bandwidth.request import DEFAULT_NUM_CLASSES
+from repro.simulator.bandwidth.wrr import WEIGHT_MODES
 
 
 @dataclass
@@ -36,7 +37,8 @@ class GuritaConfig:
         When True (default) enforce priorities with WRR-emulated SPQ;
         when False use raw SPQ (the ablation of §IV.B's mitigation).
     wrr_utilization, wrr_weight_mode:
-        Parameters of the WRR emulation (see bandwidth.wrr).
+        Parameters of the WRR emulation (see bandwidth.wrr): the total
+        class load, in (0, 1), and ``"inverse_wait"`` or ``"literal"``.
     use_flow_tables:
         When True, Ψ̈ estimates flow through the deployment-shaped
         observation plane (per-receiver Jenkins-hash flow tables merged by
@@ -92,6 +94,15 @@ class GuritaConfig:
             )
         if self.update_interval <= 0:
             raise SchedulerError("update_interval must be positive")
+        if self.wrr_weight_mode not in WEIGHT_MODES:
+            raise SchedulerError(
+                f"wrr_weight_mode must be one of {WEIGHT_MODES}, "
+                f"got {self.wrr_weight_mode!r}"
+            )
+        if not 0.0 < self.wrr_utilization < 1.0:
+            raise SchedulerError(
+                f"wrr_utilization must be in (0, 1), got {self.wrr_utilization}"
+            )
         self.thresholds = ExponentialThresholds(
             self.num_classes, first=self.psi_first, base=self.psi_base
         )

@@ -139,7 +139,7 @@ def run_chaos(
         config, profiles, intensity=intensity, fault_seed=fault_seed
     )
     units = [WorkUnit(config=c) for c in configs]
-    grid = run_grid(  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
+    grid = run_grid(
         units, parallel=parallel, cache_dir=cache_dir, progress=progress
     )
     results = grid.scenario_results()

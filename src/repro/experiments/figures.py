@@ -67,7 +67,7 @@ def run_figure_configs(
     config order; ``parallel=1`` is the serial degenerate case.
     """
     units = [WorkUnit(config=config) for config in configs]
-    report = run_grid(  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
+    report = run_grid(
         units, parallel=parallel, cache_dir=cache_dir, progress=progress
     )
     outcomes = report.scenario_results()

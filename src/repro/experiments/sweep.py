@@ -104,7 +104,7 @@ def _run_sweep(
         WorkUnit(config=config, schedulers=tuple(schedulers))
         for config in configs
     ]
-    report = run_grid(units, parallel=parallel, cache_dir=cache_dir)  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
+    report = run_grid(units, parallel=parallel, cache_dir=cache_dir)
     points = [
         SweepPoint(value=float(value), average_jcts=outcome.average_jcts())
         for value, outcome in zip(values, report.scenario_results())

@@ -109,7 +109,7 @@ def run_trials(
     units = [
         WorkUnit(config=config, seed=seed, schedulers=names) for seed in seeds
     ]
-    report = run_grid(units, parallel=parallel, cache_dir=cache_dir)  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
+    report = run_grid(units, parallel=parallel, cache_dir=cache_dir)
     return TrialResult(
         config=config, outcomes=report.scenario_results(), report=report
     )

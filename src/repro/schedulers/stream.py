@@ -8,6 +8,11 @@ coflow communication pattern: very wide (many-to-many) coflows are demoted
 one extra class because their aggregate traffic is likely to congest
 receivers.
 
+Stream is therefore Aalo's D-CLAS (:class:`AaloScheduler`) with two
+changes, both in :meth:`StreamScheduler.coflow_class`: the job's bytes
+are read from a snapshot refreshed every ``observation_interval``
+seconds, and wide coflows drop one class.
+
 The paper's critique (§V): "Stream requires larger jobs to transmit at
 lower priority regardless of the amount of bytes sent per stage" — the
 accumulated score never resets when a new stage starts.
@@ -15,17 +20,13 @@ accumulated score never resets when a new stage starts.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.jobs.flow import Flow
+from repro.jobs.coflow import Coflow
 from repro.jobs.job import Job
-from repro.schedulers.base import SchedulerPolicy
+from repro.schedulers.aalo import AaloScheduler
 from repro.schedulers.thresholds import ExponentialThresholds
-from repro.simulator.bandwidth.request import (
-    DEFAULT_NUM_CLASSES,
-    AllocationMode,
-    AllocationRequest,
-)
+from repro.simulator.bandwidth.request import DEFAULT_NUM_CLASSES
 
 #: Receivers refresh their local observations at this period (seconds).
 DEFAULT_OBSERVATION_INTERVAL = 8e-3
@@ -34,8 +35,8 @@ DEFAULT_OBSERVATION_INTERVAL = 8e-3
 DEFAULT_WIDE_COFLOW = 50
 
 
-class StreamScheduler(SchedulerPolicy):
-    """Decentralized D-CLAS on locally observed job bytes + width demotion."""
+class StreamScheduler(AaloScheduler):
+    """Aalo's D-CLAS on lagged receiver observations + width demotion."""
 
     name = "stream"
 
@@ -46,13 +47,7 @@ class StreamScheduler(SchedulerPolicy):
         observation_interval: float = DEFAULT_OBSERVATION_INTERVAL,
         wide_coflow: int = DEFAULT_WIDE_COFLOW,
     ) -> None:
-        super().__init__()
-        self.num_classes = num_classes
-        self.thresholds = (
-            thresholds
-            if thresholds is not None
-            else ExponentialThresholds(num_classes)
-        )
+        super().__init__(num_classes, thresholds)
         self.update_interval = observation_interval
         self.wide_coflow = wide_coflow
         #: job id -> bytes observed at receivers as of the last update.
@@ -79,18 +74,11 @@ class StreamScheduler(SchedulerPolicy):
     def on_job_arrival(self, job: Job, now: float) -> None:
         self._observed_job_bytes.setdefault(job.job_id, 0.0)
 
-    def allocation(self, active_flows: List[Flow], now: float) -> AllocationRequest:
-        assert self.context is not None
-        priorities: Dict[int, int] = {}
-        for flow in active_flows:
-            coflow = self.context.coflow(flow.coflow_id)
-            observed = self._observed_job_bytes.get(coflow.job_id, 0.0)
-            cls = self.thresholds.class_of(observed)
-            if coflow.active_width > self.wide_coflow:
-                cls += 1
-            priorities[flow.flow_id] = min(cls, self.num_classes - 1)
-        return AllocationRequest(
-            mode=AllocationMode.SPQ,
-            priorities=priorities,
-            num_classes=self.num_classes,
-        )
+    def coflow_class(self, coflow: Coflow) -> int:
+        """The job's class as of the last observation, one class lower
+        for wide coflows, clamped to the lowest class."""
+        observed = self._observed_job_bytes.get(coflow.job_id, 0.0)
+        cls = self.thresholds.class_of(observed)
+        if coflow.active_width > self.wide_coflow:
+            cls += 1
+        return min(cls, self.num_classes - 1)

@@ -21,8 +21,10 @@ epochs:
 
 Full membership rebuilds only happen when the class layout itself is
 invalidated (first priority-mode allocation, or ``num_classes`` changed).
-:class:`EngineStats` counts all of this; the benchmarks assert ≥2× fewer
-rebuilds than the legacy from-scratch path at bit-identical JCT output.
+:class:`EngineStats` counts all of this.  Every allocation must equal the
+from-scratch :func:`~repro.simulator.bandwidth.request.dispatch_allocation`
+over the same routes and capacities bit for bit; the parity suite
+(``tests/integration/test_engine_parity.py``) checks each call.
 """
 
 from __future__ import annotations
@@ -57,8 +59,6 @@ class EngineStats:
     full_rebuilds: int = 0
     #: incremental membership row updates (flow add / remove / class move)
     delta_updates: int = 0
-    #: reallocation epochs the runtime skipped via the dirty flag
-    epochs_skipped: int = 0
     #: capacity revocations/restorations applied by fault injection
     capacity_revocations: int = 0
 
@@ -68,7 +68,6 @@ class EngineStats:
             cache_hits=self.cache_hits,
             full_rebuilds=self.full_rebuilds,
             delta_updates=self.delta_updates,
-            epochs_skipped=self.epochs_skipped,
             capacity_revocations=self.capacity_revocations,
         )
 

@@ -21,9 +21,9 @@ The membership structures (which flows cross which link) are factored into
 :class:`LinkMembership` so the incremental engine
 (:mod:`repro.simulator.bandwidth.engine`) can keep them alive across
 allocation epochs and mutate them by flow add/remove deltas instead of
-rebuilding them on every call.  Every from-scratch construction is counted
-(see :func:`membership_rebuilds`) — the engine's acceptance metric is built
-on exactly this counter.
+rebuilding them on every call.  The from-scratch entry point
+(:func:`allocate_maxmin`) builds a fresh membership per call; it is the
+reference the engine is tested against, not a runtime path.
 
 Float comparisons against the bottleneck share and against exhausted
 residual capacity are routed through the blessed helpers
@@ -80,22 +80,6 @@ def capacity_exhausted(capacity: BytesPerSec) -> bool:
 #: A flow's route: the directed link ids it traverses.
 Route = Tuple[int, ...]
 
-#: Full from-scratch membership constructions (non-empty flow sets only);
-#: the legacy path pays one per water-fill, the engine only on invalidation.
-_membership_rebuilds = 0
-
-
-def membership_rebuilds() -> int:
-    """How many times link-membership structures were built from scratch."""
-    return _membership_rebuilds
-
-
-def reset_membership_rebuilds() -> None:
-    """Reset the rebuild counter (benchmarks call this between runs)."""
-    global _membership_rebuilds
-    _membership_rebuilds = 0
-
-
 class LinkMembership:
     """Per-link flow membership: who crosses each link, and how many.
 
@@ -125,13 +109,10 @@ class LinkMembership:
     def from_routes(
         cls, flow_routes: Mapping[int, Route], num_links: int
     ) -> "LinkMembership":
-        """Build membership from scratch (counted as a full rebuild)."""
-        global _membership_rebuilds
+        """Build membership from scratch."""
         membership = cls(num_links)
         for flow_id, route in flow_routes.items():
             membership.add(flow_id, route)
-        if flow_routes:
-            _membership_rebuilds += 1
         return membership
 
     def add(self, flow_id: int, route: Route) -> None:

@@ -39,6 +39,9 @@ from repro.simulator.bandwidth.spq import group_by_class
 #: the queueing formula away from its 1/(1-rho) singularity.
 DEFAULT_UTILIZATION = 0.9
 
+#: The ``mode`` values :func:`wrr_weights` accepts.
+WEIGHT_MODES = ("inverse_wait", "literal")
+
 
 def class_loads_from_counts(
     counts: Sequence[int],

@@ -33,7 +33,7 @@ snapshots) and logger configuration (recomputed on restore).
 
 On-disk format (all one pickle stream)::
 
-    {"magic": "repro-checkpoint", "schema": 1,
+    {"magic": "repro-checkpoint", "schema": 2,
      "fingerprint": blake2b(body), "meta": {...}, "body": bytes}
 
 where ``body`` is the pickled snapshot payload.  Files are written
@@ -64,7 +64,7 @@ __all__ = [
 #: Schema version of the on-disk checkpoint format.  Bump on any change
 #: to the snapshot payload structure; readers reject other versions
 #: rather than guessing.
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 _MAGIC = "repro-checkpoint"
 

@@ -6,15 +6,12 @@ detector (flows stuck at rate zero).  Used by the ablation benches to
 *show* — rather than assert — that Gurita's WRR emulation removes
 starvation while raw SPQ exhibits it.
 
-Also the reporting surface for the incremental allocation engine:
-:func:`allocation_counters` condenses a run's epoch bookkeeping (epochs
-skipped via the dirty flag, rate-cache hits, incremental rows applied,
-full membership rebuilds) into one :class:`AllocationCounters` snapshot —
-the acceptance metric for the engine is read from here.  Runs with the
-opt-in invariant checker enabled additionally surface their violation
-counters through :func:`invariant_counters`, and fault-injected runs
-surface their degradation/recovery counters through
-:func:`fault_counters`.
+The allocation engine's counters are read straight off
+:attr:`SimulationResult.engine_stats` (and ``epochs_skipped`` /
+``reallocations`` beside it).  Runs with the opt-in invariant checker
+enabled surface their violation counters through
+:func:`invariant_counters`, and fault-injected runs surface their
+degradation/recovery counters through :func:`fault_counters`.
 """
 
 from __future__ import annotations
@@ -53,44 +50,6 @@ class ClassAccounting:
         cls = priority if priority is not None else 0
         self.bytes_served[cls] = self.bytes_served.get(cls, 0.0) + rate * elapsed
         self.flow_seconds[cls] = self.flow_seconds.get(cls, 0.0) + elapsed
-
-
-@dataclass
-class AllocationCounters:
-    """One run's allocation-epoch bookkeeping, for reports and benches."""
-
-    #: reallocation epochs actually computed
-    reallocations: int
-    #: event batches where the dirty flag let the runtime skip reallocation
-    epochs_skipped: int
-    #: allocations answered from the engine's cached rate vector
-    cache_hits: int
-    #: membership rows touched incrementally (flow add/remove/class move)
-    rows_updated: int
-    #: per-class membership rebuilds triggered by cache invalidation
-    full_rebuilds: int
-
-    @property
-    def skip_fraction(self) -> float:
-        total = self.reallocations + self.epochs_skipped
-        return self.epochs_skipped / total if total else 0.0
-
-
-def allocation_counters(result: SimulationResult) -> AllocationCounters:
-    """Condense a result's engine statistics into one counter snapshot.
-
-    Works for legacy (engine-off) runs too — the engine-specific counters
-    read zero there, while ``epochs_skipped`` (a runtime-level feature)
-    stays meaningful.
-    """
-    stats = result.engine_stats if result.engine_stats is not None else EngineStats()
-    return AllocationCounters(
-        reallocations=result.reallocations,
-        epochs_skipped=result.epochs_skipped,
-        cache_hits=stats.cache_hits,
-        rows_updated=stats.delta_updates,
-        full_rebuilds=stats.full_rebuilds,
-    )
 
 
 def parallel_counters(report: "GridReport") -> Dict[str, float]:
@@ -287,10 +246,9 @@ class NetworkProbe:
     def bytes_by_class(self) -> Dict[int, float]:
         return dict(self.class_accounting.bytes_served)
 
-    def engine_stats(self) -> Optional[EngineStats]:
-        """Live incremental-engine counters (None when the engine is off)."""
-        engine = self.simulation.engine
-        return engine.stats if engine is not None else None
+    def engine_stats(self) -> EngineStats:
+        """Live incremental-engine counters."""
+        return self.simulation.engine.stats
 
     def invariant_report(self) -> Optional[InvariantReport]:
         """Live invariant-checker report (None when checking is off)."""

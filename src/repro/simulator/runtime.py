@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Union
 
 from repro.errors import NoPathError, SimulationError
@@ -28,7 +28,6 @@ from repro.jobs.flow import VOLUME_EPSILON, Flow, FlowState
 from repro.jobs.job import Job
 from repro.schedulers.context import SchedulerContext
 from repro.simulator.bandwidth.engine import AllocationState, EngineStats
-from repro.simulator.bandwidth.request import dispatch_allocation
 from repro.simulator.events import Event, EventKind, EventQueue
 from repro.simulator.faults import (
     HR_DELAY,
@@ -74,8 +73,8 @@ class SimulationResult:
     scheduler_name: str
     #: event batches whose dirty flag stayed clean (reallocation skipped)
     epochs_skipped: int = 0
-    #: incremental-engine counters (None when the engine was disabled)
-    engine_stats: Optional[EngineStats] = None
+    #: incremental-engine counters
+    engine_stats: EngineStats = field(default_factory=EngineStats)
     #: invariant-checker outcome (None when the checker was disabled)
     invariant_report: Optional[InvariantReport] = None
     #: fault-injection outcome (None when no fault profile was configured)
@@ -128,7 +127,6 @@ class CoflowSimulation:
         jobs: Sequence[Job],
         router: Optional[EcmpRouter] = None,
         max_events: int = DEFAULT_MAX_EVENTS,
-        use_engine: bool = True,
         check_invariants: Optional[bool] = None,
         strict_invariants: Optional[bool] = None,
         faults: Optional[FaultProfile] = None,
@@ -179,21 +177,16 @@ class CoflowSimulation:
             SchedulerContext(self.jobs, self.coflows, self._job_bytes)
         )
         self._queue = EventQueue()
-        self._capacities = self.topology.links.capacities()
         #: pristine capacity vector; repairs restore revoked links from it
-        self._nominal_caps: List[float] = list(self._capacities)
-        #: persistent allocation state, fed add/remove/priority deltas;
-        #: ``use_engine=False`` selects the from-scratch legacy path (kept
-        #: for differential benchmarks and as a correctness oracle).
-        self.engine: Optional[AllocationState] = (
-            AllocationState(self._capacities) if use_engine else None
-        )
+        self._nominal_caps: List[float] = self.topology.links.capacities()
+        #: persistent allocation state, fed add/remove/priority deltas
+        self.engine = AllocationState(self._nominal_caps)
         #: opt-in invariant checking (flag wins; env var is the default)
         env_enabled, env_strict = invariants_from_env()
         enabled = env_enabled if check_invariants is None else check_invariants
         strict = env_strict if strict_invariants is None else strict_invariants
         self.invariants: Optional[InvariantChecker] = (
-            InvariantChecker(self._capacities, strict=strict) if enabled else None
+            InvariantChecker(self._nominal_caps, strict=strict) if enabled else None
         )
         self._active: Dict[int, Flow] = {}
         #: cached once: logging guards on hot paths must cost one bool
@@ -304,9 +297,7 @@ class CoflowSimulation:
             reallocations=self._reallocations,
             scheduler_name=self.scheduler.name,
             epochs_skipped=self._epochs_skipped,
-            engine_stats=(
-                self.engine.stats.snapshot() if self.engine is not None else None
-            ),
+            engine_stats=self.engine.stats.snapshot(),
             invariant_report=(
                 self.invariants.report() if self.invariants is not None else None
             ),
@@ -342,7 +333,6 @@ class CoflowSimulation:
         "flows",
         "_job_bytes",
         "_job_of_flow",
-        "_capacities",
         "_nominal_caps",
         "invariants",
         "_active",
@@ -382,9 +372,7 @@ class CoflowSimulation:
                 "class": type(self.scheduler),
                 "state": self.scheduler.snapshot_state(),
             },
-            "engine": (
-                self.engine.snapshot_state() if self.engine is not None else None
-            ),
+            "engine": self.engine.snapshot_state(),
         }
 
     @classmethod
@@ -411,12 +399,9 @@ class CoflowSimulation:
         scheduler = scheduler_cls.__new__(scheduler_cls)
         scheduler.restore_state(state["scheduler"]["state"])
         sim.scheduler = scheduler
-        if state["engine"] is None:
-            sim.engine = None
-        else:
-            engine = AllocationState.__new__(AllocationState)
-            engine.restore_state(state["engine"])
-            sim.engine = engine
+        engine = AllocationState.__new__(AllocationState)
+        engine.restore_state(state["engine"])
+        sim.engine = engine
         # Host-side attributes, recomputed rather than restored.
         sim._debug = _LOG.isEnabledFor(logging.DEBUG)
         sim._checkpoint_every = checkpoint_every
@@ -482,8 +467,6 @@ class CoflowSimulation:
             # Dirty flag stayed clean: the active set and every priority
             # are untouched, so the previous rate assignment still holds.
             self._epochs_skipped += 1
-            if self.engine is not None:
-                self.engine.stats.epochs_skipped += 1
 
     @hot_path
     def _advance_to(self, time: float) -> None:
@@ -606,8 +589,7 @@ class CoflowSimulation:
                 self._park_flow(flow, in_active=False)  # simlint: hot-ok[fault path; parked flows leave the hot set]
                 continue
             self._active[flow.flow_id] = flow
-            if self.engine is not None:
-                self.engine.add_flow(flow.flow_id, flow.route)
+            self.engine.add_flow(flow.flow_id, flow.route)
         self.scheduler.on_coflow_release(coflow, self._now)
 
     # ------------------------------------------------------------------
@@ -694,9 +676,7 @@ class CoflowSimulation:
 
     def _set_link_capacity(self, link_id: int, capacity: float) -> None:
         """Propagate one link's revoked/restored capacity everywhere."""
-        self._capacities[link_id] = capacity  # legacy dispatch path
-        if self.engine is not None:
-            self.engine.set_capacity(link_id, capacity)
+        self.engine.set_capacity(link_id, capacity)
         if self.invariants is not None:
             self.invariants.note_capacity(link_id, capacity)
 
@@ -716,8 +696,7 @@ class CoflowSimulation:
                 self._park_flow(flow, in_active=True)
                 continue
             flow.route = new_route
-            if self.engine is not None:
-                self.engine.update_route(flow.flow_id, new_route)
+            self.engine.update_route(flow.flow_id, new_route)
             injector.stats.flows_rerouted += 1
             injector.stats.rerouted_bytes += flow.remaining_bytes
 
@@ -755,8 +734,7 @@ class CoflowSimulation:
         assert injector is not None
         if in_active:
             del self._active[flow.flow_id]
-            if self.engine is not None:
-                self.engine.remove_flow(flow.flow_id)
+            self.engine.remove_flow(flow.flow_id)
         flow.rate = 0.0
         self._parked[flow.flow_id] = flow
         self._parked_since[flow.flow_id] = self._now
@@ -780,12 +758,11 @@ class CoflowSimulation:
             flow.route = route
             del self._parked[flow_id]
             self._active[flow_id] = flow
-            if self.engine is not None:
-                self.engine.add_flow(flow_id, route)
-                # add_flow files the flow in the lowest class; make sure
-                # the next allocation re-files it under its true class
-                # even for policies that report precise priority deltas.
-                self._forced_priority_delta.add(flow_id)
+            self.engine.add_flow(flow_id, route)
+            # add_flow files the flow in the lowest class; make sure the
+            # next allocation re-files it under its true class even for
+            # policies that report precise priority deltas.
+            self._forced_priority_delta.add(flow_id)
             injector.stats.flows_recovered += 1
             injector.stats.recovery_seconds.append(
                 self._now - self._parked_since.pop(flow_id)
@@ -816,8 +793,7 @@ class CoflowSimulation:
         for flow in ripe:
             flow.finish(self._now)
             del self._active[flow.flow_id]
-            if self.engine is not None:
-                self.engine.remove_flow(flow.flow_id)
+            self.engine.remove_flow(flow.flow_id)
             self.scheduler.on_flow_finish(flow, self._now)
             coflow = self.coflows[flow.coflow_id]
             if coflow.maybe_complete(self._now):
@@ -848,17 +824,12 @@ class CoflowSimulation:
                     self._forced_priority_delta
                 )
             self._forced_priority_delta.clear()
-        if self.engine is not None:
-            rates = self.engine.allocate(request, priority_delta=priority_delta)
-        else:
-            flow_routes = {f.flow_id: f.route for f in active}
-            rates = dispatch_allocation(request, flow_routes, self._capacities)
+        rates = self.engine.allocate(request, priority_delta=priority_delta)
         if self.invariants is not None:
             self.invariants.check_allocation(active, rates, self._now)
-            if self.engine is not None:
-                self.invariants.maybe_audit_engine(
-                    self.engine, active, request, self._now
-                )
+            self.invariants.maybe_audit_engine(
+                self.engine, active, request, self._now
+            )
         next_completion: Optional[float] = None
         for flow in active:
             flow.priority = request.priorities.get(flow.flow_id, flow.priority)
@@ -887,14 +858,12 @@ def simulate(
     jobs: Sequence[Job],
     router: Optional[EcmpRouter] = None,
     until: Optional[float] = None,
-    use_engine: bool = True,
     faults: Optional[FaultProfile] = None,
     checkpoint_every: Optional[float] = None,
     checkpoint_path: Union[str, "os.PathLike[str]", None] = None,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`CoflowSimulation` and run it."""
     return CoflowSimulation(
-        topology, scheduler, jobs, router=router, use_engine=use_engine,
-        faults=faults, checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
+        topology, scheduler, jobs, router=router, faults=faults,
+        checkpoint_every=checkpoint_every, checkpoint_path=checkpoint_path,
     ).run(until=until)

@@ -313,7 +313,7 @@ def run_gap(
     units = [
         WorkUnit(config=config, schedulers=names) for config in scenarios
     ]
-    grid = run_grid(units, parallel=parallel, cache_dir=cache_dir, progress=progress)  # simlint: ignore[SIM106] (default worker bumps the benchmark rebuild counter; write-only instrumentation)
+    grid = run_grid(units, parallel=parallel, cache_dir=cache_dir, progress=progress)
     return gap_report_from_grid(grid)
 
 

@@ -1,60 +1,106 @@
-"""Engine-on vs engine-off parity: identical JCTs, fewer rebuilds.
+"""Every engine allocation equals the from-scratch allocators, bit for bit.
 
-The incremental allocation engine is a pure optimisation — for every
-scheduling policy it must produce the same per-job completion times as
-the legacy full-rebuild path, while rebuilding link memberships far less
-often.
+The incremental engine (:class:`AllocationState`) is the runtime's only
+allocation path.  The from-scratch :func:`dispatch_allocation` rebuilds
+link membership from a route map on every call, so it serves as the
+oracle: each ``AllocationState.allocate`` call of a run is checked
+against it over the engine's own routes and (possibly fault-revoked)
+capacities.  That covers every reallocation of the run, cache hits and
+delta-updated class memberships included, not only the JCTs they add up
+to.
 """
+
+import os
 
 import pytest
 
-from repro.experiments.common import ScenarioConfig, build_jobs
-from repro.schedulers.registry import make_scheduler
-from repro.simulator.bandwidth.maxmin import (
-    membership_rebuilds,
-    reset_membership_rebuilds,
+from repro.experiments.common import (
+    ScenarioConfig,
+    build_fault_profile,
+    build_jobs,
 )
-from repro.simulator.observability import allocation_counters
+from repro.experiments.figures import figure5_configs, figure6_config
+from repro.schedulers.registry import available_schedulers, make_scheduler
+from repro.simulator.bandwidth.engine import AllocationState
+from repro.simulator.bandwidth.request import dispatch_allocation
 from repro.simulator.runtime import simulate
 from repro.simulator.topology.fattree import FatTreeTopology
 
 CONFIG = ScenarioConfig(name="parity", num_jobs=10, fattree_k=4, seed=7)
 
+FABRICS = {"perfect": "", "chaos": "chaos"}
 
-def _run(scheduler_name, use_engine):
-    topology = FatTreeTopology(k=CONFIG.fattree_k)
-    jobs = build_jobs(CONFIG, topology.num_hosts)
-    reset_membership_rebuilds()
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Wrap ``AllocationState.allocate``; collect ``(rates, expected)``."""
+    checked = []
+    allocate = AllocationState.allocate
+
+    def allocate_and_check(self, request, priority_delta=None):
+        rates = allocate(self, request, priority_delta=priority_delta)
+        capacities = [
+            self.capacity_of(link_id)
+            for link_id in range(self.all_flows.num_links)
+        ]
+        expected = dispatch_allocation(request, self.all_flows.routes, capacities)
+        checked.append((dict(rates), expected))
+        return rates
+
+    monkeypatch.setattr(AllocationState, "allocate", allocate_and_check)
+    return checked
+
+
+def _run_checked(config, scheduler_name, checked):
+    topology = FatTreeTopology(k=config.fattree_k)
+    jobs = build_jobs(config, topology.num_hosts)
     result = simulate(
-        topology, make_scheduler(scheduler_name), jobs, use_engine=use_engine
+        topology,
+        make_scheduler(scheduler_name),
+        jobs,
+        faults=build_fault_profile(config),
     )
-    return result, membership_rebuilds()
+    assert result.all_done
+    assert checked, "the run made no allocation"
+    mismatches = [
+        index for index, (rates, expected) in enumerate(checked)
+        if rates != expected
+    ]
+    assert not mismatches, (
+        f"{len(mismatches)} of {len(checked)} allocations differ from "
+        f"dispatch_allocation, first at call {mismatches[0]}"
+    )
+    # Epochs with no active flows return before the engine is consulted.
+    assert result.engine_stats.allocations == len(checked)
+    assert len(checked) <= result.reallocations
+    return result
 
 
-@pytest.mark.parametrize(
-    "scheduler_name", ["pfs", "baraat", "stream", "aalo", "gurita", "gurita+"]
+@pytest.mark.parametrize("fabric", sorted(FABRICS))
+@pytest.mark.parametrize("scheduler_name", available_schedulers())
+def test_allocations_match_oracle(oracle, scheduler_name, fabric):
+    config = CONFIG.with_overrides(fault_profile=FABRICS[fabric])
+    result = _run_checked(config, scheduler_name, oracle)
+    if fabric == "chaos":
+        assert result.fault_stats is not None
+        assert result.fault_stats.faults_injected > 0
+
+
+#: The figure 5 scenarios plus fig-6 fb-tao at k=4, under Gurita.  About
+#: 20 s, so they run only with ``REPRO_RUN_SLOW=1`` (the CI engine-smoke
+#: job sets it).
+PAPER_WORKLOADS = [
+    config.with_overrides(num_jobs=24, fattree_k=4)
+    for config in figure5_configs(seed=42)
+] + [figure6_config("fb-tao", num_jobs=30, seed=42).with_overrides(fattree_k=4)]
+
+
+@pytest.mark.skipif(
+    not os.environ.get("REPRO_RUN_SLOW"),
+    reason="set REPRO_RUN_SLOW=1 to check the paper workloads",
 )
-def test_engine_matches_legacy_jcts(scheduler_name):
-    legacy, legacy_rebuilds = _run(scheduler_name, use_engine=False)
-    engine, engine_rebuilds = _run(scheduler_name, use_engine=True)
-    assert legacy.all_done and engine.all_done
-    legacy_jcts = {job.job_id: job.completion_time() for job in legacy.jobs}
-    engine_jcts = {job.job_id: job.completion_time() for job in engine.jobs}
-    assert engine_jcts.keys() == legacy_jcts.keys()
-    for job_id, jct in legacy_jcts.items():
-        assert engine_jcts[job_id] == pytest.approx(jct, abs=1e-9)
-    # The optimisation actually optimises: far fewer membership rebuilds.
-    assert engine_rebuilds * 2 <= legacy_rebuilds
-    # Bookkeeping surfaces through the result (epochs with no active
-    # flows return before the engine is consulted, hence <=).
-    assert engine.engine_stats is not None
-    assert 0 < engine.engine_stats.allocations <= engine.reallocations
-    assert legacy.engine_stats is None
-
-
-def test_counters_condense_into_observability_snapshot():
-    result, _rebuilds = _run("gurita", use_engine=True)
-    counters = allocation_counters(result)
-    assert counters.reallocations == result.reallocations
-    assert counters.rows_updated > 0
-    assert 0.0 <= counters.skip_fraction <= 1.0
+@pytest.mark.parametrize(
+    "config", PAPER_WORKLOADS, ids=[config.name for config in PAPER_WORKLOADS]
+)
+def test_paper_workloads_match_oracle(oracle, config):
+    _run_checked(config, "gurita", oracle)

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.simulator.bandwidth.engine import AllocationState, EngineStats
-from repro.simulator.bandwidth.maxmin import (
-    LinkMembership,
-    allocate_maxmin,
-    membership_rebuilds,
-    reset_membership_rebuilds,
-)
+from repro.simulator.bandwidth.maxmin import LinkMembership, allocate_maxmin
 from repro.simulator.bandwidth.request import (
     AllocationMode,
     AllocationRequest,
@@ -49,12 +44,6 @@ class TestLinkMembership:
         with pytest.raises(KeyError):
             LinkMembership(1).remove(99)
 
-    def test_from_routes_counts_rebuilds(self):
-        reset_membership_rebuilds()
-        LinkMembership.from_routes({1: (0,)}, 1)
-        LinkMembership.from_routes({}, 1)  # empty builds are free
-        assert membership_rebuilds() == 1
-
 
 class TestMaxminPath:
     def test_matches_legacy_allocation(self):
@@ -90,15 +79,22 @@ class TestMaxminPath:
         remaining = {f: r for f, r in ROUTES.items() if f != 2}
         assert rates == allocate_maxmin(remaining, CAPS)
 
-    def test_no_membership_rebuilds_after_setup(self):
+    def test_no_membership_rebuilds_after_setup(self, monkeypatch):
         state = fresh_state()
-        reset_membership_rebuilds()
+        builds = []
+        from_routes = LinkMembership.from_routes
+
+        def spy(routes, num_links):
+            builds.append(dict(routes))
+            return from_routes(routes, num_links)
+
+        monkeypatch.setattr(LinkMembership, "from_routes", spy)
         for _ in range(5):
             state.allocate(AllocationRequest(mode=AllocationMode.MAXMIN))
             state.add_flow(100, (1,))
             state.allocate(AllocationRequest(mode=AllocationMode.MAXMIN))
             state.remove_flow(100)
-        assert membership_rebuilds() == 0
+        assert builds == []
 
 
 def _request(mode, priorities, **kwargs):

@@ -48,6 +48,21 @@ class TestConfig:
         with pytest.raises(SchedulerError):
             GuritaConfig(update_interval=0.0)
 
+    @pytest.mark.parametrize("mode", ["bogus", "", "Literal"])
+    def test_unknown_wrr_weight_mode_rejected(self, mode):
+        with pytest.raises(SchedulerError, match="wrr_weight_mode"):
+            GuritaConfig(wrr_weight_mode=mode)
+
+    @pytest.mark.parametrize("utilization", [-0.5, 0.0, 1.0, 1.5])
+    def test_wrr_utilization_outside_unit_interval_rejected(self, utilization):
+        with pytest.raises(SchedulerError, match="wrr_utilization"):
+            GuritaConfig(wrr_utilization=utilization)
+
+    def test_wrr_settings_in_range_accepted(self):
+        config = GuritaConfig(wrr_weight_mode="literal", wrr_utilization=0.5)
+        assert config.wrr_weight_mode == "literal"
+        assert config.wrr_utilization == 0.5
+
 
 class TestStarvationRequest:
     def test_wrr_when_mitigation_on(self):
