@@ -6,18 +6,23 @@ equally, and no flow can increase its rate without decreasing that of a flow
 with an equal or smaller rate (Bertsekas & Gallager's water-filling).
 
 This is the hot path of the whole simulator, and it has one round loop
-(:func:`_water_fill_scalar`).  It maintains the per-link fair-share
-vector *incrementally*: the full vector is derived once per fill, then
-each round only finds its minimum, freezes the members of the bottleneck
-links, and recomputes the share at only the links those flows touched;
-a link's count hits zero the round it bottlenecks, so each member list
-is scanned at most once per fill.  Within one round every frozen flow
-subtracts the *same* bottleneck share from its links, which keeps the
-rates bit-identical to the historical full-recompute loop.  There is
-deliberately no numpy-vectorised round loop: a CSR one lost on every
-measured workload (``docs/performance.md``, "Deleted alternatives").
+(:func:`_water_fill_scalar`).  It runs in the membership's *slot space*:
+a compact numbering of the links the membership occupies, kept by
+:class:`LinkMembership` across fills.  A fill gathers the residual at
+those slots, derives the share vector once, then each round only finds
+its minimum, freezes the members of the bottleneck links (visited in
+link-id order) and recomputes the share at the slots those flows
+touched; a link's count hits zero the round it bottlenecks, so each
+member list is scanned at most once per fill.  Within one round every
+frozen flow subtracts the *same* bottleneck share from its links, which
+keeps the rates bit-identical to the historical full-recompute loop.
+Only the slots are written back, so a fill costs O(occupied links), not
+O(fabric): at FatTree k=16 a fill touches about 640 of 6,144 links.
+There is deliberately no numpy-vectorised round loop and no heap: both
+lost on every measured workload (``docs/performance.md``, "Deleted
+alternatives").
 
-The membership structures (which flows cross which link) are factored into
+The membership structures (which flows cross which link) live in
 :class:`LinkMembership` so the incremental engine
 (:mod:`repro.simulator.bandwidth.engine`) can keep them alive across
 allocation epochs and mutate them by flow add/remove deltas instead of
@@ -36,6 +41,7 @@ loop on sub-epsilon residuals.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
@@ -80,30 +86,65 @@ def capacity_exhausted(capacity: BytesPerSec) -> bool:
 #: A flow's route: the directed link ids it traverses.
 Route = Tuple[int, ...]
 
+#: Dormant slots a membership tolerates before it compacts its slot space
+#: (see :meth:`LinkMembership.remove`).
+_COMPACT_FLOOR = 64
+
+#: The global (link-id-indexed) view: the fields that are pickled.  The
+#: slot index is derived state, rebuilt on unpickling.
+_GLOBAL_VIEW = ("num_links", "routes", "counts", "link_members", "route_arrays")
+
+
 class LinkMembership:
     """Per-link flow membership: who crosses each link, and how many.
 
-    Holds exactly the structures the water-filling loop needs — a route per
-    flow, an insertion-ordered member table per link, and a per-link count
-    vector — and supports O(|route|) add/remove so the incremental engine
-    can maintain one instance across allocation epochs.
+    Holds exactly the structures the water-filling loop needs and
+    supports O(|route|) add/remove, so the incremental engine can
+    maintain one instance across allocation epochs.  There are two views
+    of the same membership.
 
-    ``link_members`` maps link id -> insertion-ordered dict used as an
-    ordered set (values are ``None``); deterministic iteration order is what
-    keeps engine allocations reproducible run to run.
+    The **global view**, indexed by link id:
+
+    * ``routes`` — flow id -> route;
+    * ``link_members`` — link id -> insertion-ordered dict used as an
+      ordered set (values are ``None``); deterministic iteration order is
+      what keeps allocations reproducible run to run;
+    * ``counts`` — per-link member count over all ``num_links`` links;
+    * ``route_arrays`` — each route as an index array, for the
+      ``np.add.at`` charges in :mod:`repro.simulator.bandwidth.wrr`.
+
+    The **slot index**, a compact numbering of the links the membership
+    occupies, which the fill loop runs in:
+
+    * ``slot_of`` — link id -> slot; ``slot_links`` — slot -> link id;
+    * ``slot_counts`` — member count per slot;
+    * ``slot_members`` — member dict per slot, the same dict objects as
+      ``link_members``;
+    * ``slot_routes`` — flow id -> the flow's route as slots.
+
+    A link whose count drops to zero keeps its slot as a *dormant* slot
+    and revives it when re-occupied, so no link ever has two slots.  Once
+    dormant slots outnumber live ones (beyond ``_COMPACT_FLOOR``), the
+    slot space is rebuilt in ascending link order.  Slot numbering never
+    reaches the output: the fill orders bottlenecks by link id.
     """
 
-    __slots__ = ("num_links", "routes", "counts", "link_members", "route_arrays")
+    __slots__ = _GLOBAL_VIEW + (
+        "slot_of",
+        "slot_links",
+        "slot_counts",
+        "slot_members",
+        "slot_routes",
+        "_slot_array",
+    )
 
     def __init__(self, num_links: int) -> None:
         self.num_links = num_links
         self.routes: Dict[int, Route] = {}
         self.counts: npt.NDArray[np.int64] = np.zeros(num_links, dtype=np.int64)
         self.link_members: Dict[int, Dict[int, None]] = {}
-        #: per-flow route as an index array, kept in lockstep with
-        #: ``routes`` — ``wrr.allocate_wrr_memberships`` gathers these for
-        #: its ``np.add.at`` charges instead of converting tuples per call.
         self.route_arrays: Dict[int, npt.NDArray[np.intp]] = {}
+        self.compact_slots()  # an empty slot index
 
     @classmethod
     def from_routes(
@@ -115,30 +156,93 @@ class LinkMembership:
             membership.add(flow_id, route)
         return membership
 
+    def __getstate__(self) -> Tuple[None, Dict[str, object]]:
+        # Only the global view, in the layout default ``__slots__``
+        # pickling uses; ``__setstate__`` rebuilds the slot index.
+        return None, {name: getattr(self, name) for name in _GLOBAL_VIEW}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, object]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self.compact_slots()
+
+    @hot_path
+    def compact_slots(self) -> None:
+        """Renumber the slot space over the occupied links, in ascending
+        link order, dropping every dormant slot."""
+        link_members = self.link_members
+        slot_links = sorted(link_members)
+        slot_of = {link_id: slot for slot, link_id in enumerate(slot_links)}
+        self.slot_of = slot_of
+        self.slot_links = slot_links
+        self.slot_members = [link_members[link_id] for link_id in slot_links]
+        self.slot_counts = [len(members) for members in self.slot_members]
+        self.slot_routes: Dict[int, List[int]] = {
+            flow_id: [slot_of[link_id] for link_id in route]
+            for flow_id, route in self.routes.items()
+        }
+        self._slot_array: Union[npt.NDArray[np.intp], None] = None
+
+    @hot_path
+    def slot_array(self) -> npt.NDArray[np.intp]:
+        """``slot_links`` as an index array (cached until a slot opens)."""
+        array = self._slot_array
+        if array is None:
+            array = self._slot_array = np.array(self.slot_links, dtype=np.intp)
+        return array
+
     def add(self, flow_id: int, route: Route) -> None:
         if flow_id in self.routes:
             raise ValueError(f"flow {flow_id} already in membership")
+        if len(set(route)) != len(route):
+            raise ValueError(f"flow {flow_id} route {route} repeats a link")
         self.routes[flow_id] = route
         self.route_arrays[flow_id] = np.asarray(route, dtype=np.intp)
+        counts = self.counts
+        slot_of = self.slot_of
+        slot_links = self.slot_links
+        slot_counts = self.slot_counts
+        slot_members = self.slot_members
+        slot_route: List[int] = []
         for link_id in route:
-            self.counts[link_id] += 1
-            members = self.link_members.get(link_id)
-            if members is None:
-                # setdefault(link_id, {}) paid for an empty dict on every
-                # hop; this allocates only when a link gains its first
-                # member.
-                members = self.link_members[link_id] = {}  # simlint: ignore[SIM202] (first-member only)
-            members[flow_id] = None
+            counts[link_id] += 1
+            slot = slot_of.get(link_id)
+            if slot is None:
+                # First occupation opens the next slot.  A link never
+                # holds two slots, so the slot lists stay within
+                # num_links (and compaction drops the dormant ones).
+                slot = slot_of[link_id] = len(slot_links)
+                members: Dict[int, None] = {}  # simlint: ignore[SIM202] (first occupation only)
+                self.link_members[link_id] = members
+                slot_links.append(link_id)
+                slot_counts.append(0)
+                slot_members.append(members)
+                self._slot_array = None
+            elif not slot_counts[slot]:
+                # Revive a dormant slot, member dict and all.
+                self.link_members[link_id] = slot_members[slot]
+            slot_counts[slot] += 1
+            slot_members[slot][flow_id] = None
+            slot_route.append(slot)
+        self.slot_routes[flow_id] = slot_route
 
     def remove(self, flow_id: int) -> None:
         route = self.routes.pop(flow_id)
         del self.route_arrays[flow_id]
-        for link_id in route:
-            self.counts[link_id] -= 1
-            members = self.link_members[link_id]
+        counts = self.counts
+        slot_counts = self.slot_counts
+        slot_members = self.slot_members
+        for link_id, slot in zip(route, self.slot_routes.pop(flow_id)):
+            counts[link_id] -= 1
+            slot_counts[slot] -= 1
+            members = slot_members[slot]
             del members[flow_id]
             if not members:
                 del self.link_members[link_id]
+        live = len(self.link_members)
+        dormant = len(self.slot_links) - live
+        if dormant > live and dormant > _COMPACT_FLOOR:
+            self.compact_slots()
 
     def __len__(self) -> int:
         return len(self.routes)
@@ -177,63 +281,67 @@ def _water_fill_scalar(
     res: npt.NDArray[np.float64],
     rates: Dict[int, BytesPerSec],
 ) -> None:
-    """Progressive filling with an incrementally maintained share vector.
+    """Progressive filling in the membership's slot space.
 
     Writes each flow's rate into ``rates`` and subtracts the allocated
-    bandwidth from ``res`` in place.
+    bandwidth from ``res`` in place.  Only the slot links of ``res`` are
+    read or written; every other link carries no member of this fill.
     """
     routes = membership.routes
-    shares = np.empty_like(res)
-    num_buf = np.empty_like(res)
-    mask_buf = np.empty(res.size, dtype=bool)
+    slot_routes = membership.slot_routes
+    slot_links = membership.slot_links
+    slot_members = membership.slot_members
+    slots = membership.slot_array()
+    res_s = res[slots]
+    counts_s = membership.counts[slots]
 
-    # Initial share vector — same floats as the historical np.where
-    # formulation: divide only where counts > 0, +inf everywhere else.
-    # Subsequent rounds update *touched links only* with the identical
-    # scalar formula (max(res, 0) / count), so every round sees exactly
-    # the share vector the full recompute would have produced.
-    shares.fill(np.inf)
-    np.maximum(res, 0.0, out=num_buf)
-    np.greater(membership.counts, 0, out=mask_buf)
-    np.divide(num_buf, membership.counts, out=shares, where=mask_buf)
-
-    # Round state lives in plain python containers — scalar list indexing
-    # is several times cheaper than numpy item access at these sizes.
-    # ``res`` is written back below (all float arithmetic is IEEE double
-    # either way — bit-identical).
-    link_members = membership.link_members
-    res_l: List[float] = res.tolist()
-    counts_l: List[int] = membership.counts.tolist()
+    # Initial shares — per element the same floats as the historical
+    # full-width np.where formulation: divide only where counts > 0, +inf
+    # elsewhere (dormant slots).  Later rounds update only the slots a
+    # frozen flow touches, with the identical scalar formula
+    # (max(res, 0) / count).
     inf = np.inf
+    shares = np.full(slots.size, inf)
+    mask_buf = np.greater(counts_s, 0)
+    np.divide(np.maximum(res_s, 0.0), counts_s, out=shares, where=mask_buf)
+
+    # Round state lives in plain python lists sized to the slot count —
+    # scalar list indexing is several times cheaper than numpy item
+    # access.  ``res`` is written back below (all float arithmetic is
+    # IEEE double either way — bit-identical).
+    res_l: List[float] = res_s.tolist()
+    counts_l = membership.slot_counts.copy()
 
     frozen: Dict[int, None] = {}
     remaining = len(routes)
     while remaining > 0:
-        bottleneck_share = float(shares.min())
-        if not np.isfinite(bottleneck_share):
+        bottleneck_share = float(np.minimum.reduce(shares, initial=inf))
+        if not math.isfinite(bottleneck_share):
             # Remaining flows traverse no contended link (empty routes, or
             # inconsistent membership) — they cannot be rate-limited here.
             for flow_id in routes:
                 if flow_id not in frozen:
                     rates[flow_id] = 0.0
             break
-        bottleneck_links = (
+        bottleneck_slots = (
             share_at_most(shares, bottleneck_share, out=mask_buf)
             .nonzero()[0]
             .tolist()
         )
+        # Visit bottlenecks in link-id order, whatever their slots: frozen
+        # order is ``rates`` insertion order, which the WRR charges in
+        # ``wrr.py`` depend on for bit-identity.
+        bottleneck_slots.sort(key=slot_links.__getitem__)
         # A link's count hits zero the round it bottlenecks, so each
         # link's member list is scanned at most once per fill — skipping
         # already-frozen members with a dict check beats maintaining
         # shrunken member copies.
         newly_frozen: List[int] = []  # simlint: ignore[SIM202] (per-round scratch, bounded by flows frozen this round)
-        for link_id in bottleneck_links:
-            members = link_members.get(link_id)
-            if members:
-                for flow_id in members:
-                    if flow_id not in frozen:
-                        frozen[flow_id] = None
-                        newly_frozen.append(flow_id)
+        for slot in bottleneck_slots:
+            for flow_id in slot_members[slot]:
+                if flow_id not in frozen:
+                    frozen[flow_id] = None
+                    newly_frozen.append(flow_id)
         if not newly_frozen:
             # Defensive: should be impossible, but never spin forever.
             for flow_id in routes:
@@ -242,24 +350,21 @@ def _water_fill_scalar(
             break
         for flow_id in newly_frozen:
             rates[flow_id] = bottleneck_share
-            route = routes[flow_id]
-            for link_id in route:
-                res_l[link_id] -= bottleneck_share
-                counts_l[link_id] -= 1
-            # Refresh the touched links' shares right away; a link shared
-            # with a later flow of this round just gets recomputed again,
-            # and only the final value is ever read (next round's min).
-            for link_id in route:
-                count = counts_l[link_id]
+            # One pass per hop: a route never repeats a link, so each
+            # share is recomputed after that link's last decrement of the
+            # flow.  A slot shared with a later flow of this round just
+            # gets recomputed again; only next round's min reads it.
+            for slot in slot_routes[flow_id]:
+                residual = res_l[slot] - bottleneck_share
+                res_l[slot] = residual
+                count = counts_l[slot] - 1
+                counts_l[slot] = count
                 if count > 0:
-                    residual = res_l[link_id]
-                    shares[link_id] = (
-                        residual if residual > 0.0 else 0.0
-                    ) / count
+                    shares[slot] = (residual if residual > 0.0 else 0.0) / count
                 else:
-                    shares[link_id] = inf
+                    shares[slot] = inf
         remaining -= len(newly_frozen)
-    res[:] = res_l
+    res[slots] = res_l
 
 
 @hot_path

@@ -13,7 +13,8 @@ simulator-vs-theory gaps in coflow-scheduling evaluations:
   than the simulation clock (beyond float time resolution);
 * **cache coherence** — a sampled audit that rebuilds the incremental
   allocation engine's link memberships from scratch and diffs them against
-  the live :class:`~repro.simulator.bandwidth.engine.AllocationState`.
+  the live :class:`~repro.simulator.bandwidth.engine.AllocationState`,
+  and checks each membership's slot index against its link view.
   This is the race-detector analogue for the engine's delta-maintained
   caches: a policy that opts into ``reports_priority_deltas`` but fails to
   report a class change shows up here, not as a silently wrong JCT.
@@ -36,6 +37,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 from repro.errors import SimulationError
 from repro.jobs.flow import VOLUME_EPSILON, Flow
 from repro.simulator.bandwidth.engine import AllocationState
+from repro.simulator.bandwidth.maxmin import LinkMembership
 from repro.simulator.bandwidth.request import AllocationMode, AllocationRequest
 from repro.simulator.timecmp import time_resolution
 
@@ -340,7 +342,66 @@ class InvariantChecker:
                     f"{expected_counts[link_id]}",
                 )
 
+        memberships = [engine.all_flows] + list(engine.class_members or ())
+        for membership in memberships:
+            self._audit_slot_index(membership, now)
         self._audit_class_layout(engine, expected_routes, request, now)
+
+    def _audit_slot_index(self, membership: LinkMembership, now: float) -> None:
+        """The fill's slot index must mirror the membership's link view.
+
+        Live slots agree with ``link_members`` and ``counts``, dormant
+        slots are empty, no link holds two slots, and every flow's slot
+        route maps back to its route.
+        """
+        link_members = membership.link_members
+        slot_links = membership.slot_links
+        problems: List[str] = []
+        if len(set(slot_links)) != len(slot_links):
+            problems.append("a link holds two slots")
+        if len(membership.slot_of) != len(slot_links):
+            problems.append(
+                f"slot_of maps {len(membership.slot_of)} links for "
+                f"{len(slot_links)} slots"
+            )
+        live = 0
+        for slot, link_id in enumerate(slot_links):
+            members = membership.slot_members[slot]
+            count = membership.slot_counts[slot]
+            if membership.slot_of.get(link_id) != slot:
+                problems.append(f"slot_of[{link_id}] is not slot {slot}")
+            if count:
+                live += 1
+                if (
+                    link_members.get(link_id) is not members
+                    or count != len(members)
+                    or count != int(membership.counts[link_id])
+                ):
+                    problems.append(f"live slot {slot} (link {link_id}) is stale")
+            elif members or link_id in link_members:
+                problems.append(f"dormant slot {slot} (link {link_id}) is occupied")
+        if live != len(link_members):
+            problems.append(
+                f"{live} live slots for {len(link_members)} occupied links"
+            )
+        slot_routes = membership.slot_routes
+        for flow_id in sorted(membership.routes):
+            mapped = [
+                slot_links[slot]
+                for slot in slot_routes.get(flow_id, ())
+                if 0 <= slot < len(slot_links)
+            ]
+            if mapped != list(membership.routes[flow_id]):
+                problems.append(f"flow {flow_id} slot route maps elsewhere")
+        if len(slot_routes) != len(membership.routes):
+            problems.append("slot routes and routes hold different flows")
+        if problems:
+            self._record(
+                self.CACHE_COHERENCE,
+                now,
+                "membership slot index diverged from its link view: "
+                + "; ".join(problems[:3]),
+            )
 
     def _audit_class_layout(
         self,

@@ -1,8 +1,13 @@
 """Property-based tests for max-min fairness (the allocator's contract)."""
 
+import math
+from unittest import mock
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.simulator.bandwidth.maxmin import allocate_maxmin
+from repro.simulator.bandwidth import maxmin
+from repro.simulator.bandwidth.maxmin import LinkMembership, allocate_maxmin
 from repro.simulator.bandwidth.spq import allocate_spq
 from repro.simulator.bandwidth.wrr import allocate_wrr
 
@@ -135,3 +140,132 @@ def test_wrr_no_starvation_and_capacity(problem):
         assert used <= capacities[link] * (1 + 1e-6) + 1e-3
     # Starvation mitigation: every flow makes progress.
     assert all(rate > 0.0 for rate in rates.values())
+
+
+#: Links of the membership-delta property (more than NUM_LINKS, so slots
+#: go dormant and revive often).
+DELTA_LINKS = 10
+
+
+def delta_routes():
+    return st.lists(
+        st.integers(min_value=0, max_value=DELTA_LINKS - 1),
+        min_size=0,
+        max_size=4,
+        unique=True,
+    ).map(tuple)
+
+
+def fill_bits(membership, capacities):
+    """The fill's full output: ``rates`` items in order, residual bytes."""
+    residual = np.array(capacities, dtype=float)
+    rates = maxmin.water_fill_membership(membership, residual)
+    return [(f, float(r).hex()) for f, r in rates.items()], residual.tobytes()
+
+
+def tie_prone_capacities():
+    return st.lists(
+        st.sampled_from((0.0, 1.0, 2.5, 3.0, 7.0, 1e9)),
+        min_size=DELTA_LINKS,
+        max_size=DELTA_LINKS,
+    )
+
+
+def full_width_fill(flow_routes, capacities):
+    """Textbook progressive filling over every link of the fabric.
+
+    Each round recomputes every link's share, freezes the members of
+    every link within ``_EPSILON`` of the minimum (links ascending,
+    members in flow order), then charges the frozen flows.
+    """
+    res = [float(c) for c in capacities]
+    counts = [0] * len(res)
+    members = [[] for _ in res]
+    for flow_id, route in flow_routes.items():
+        for link in route:
+            counts[link] += 1
+            members[link].append(flow_id)
+    rates = {}
+    while len(rates) < len(flow_routes):
+        shares = [
+            max(r, 0.0) / c if c else math.inf for r, c in zip(res, counts)
+        ]
+        bottleneck = min(shares)
+        if bottleneck == math.inf:
+            for flow_id in flow_routes:
+                rates.setdefault(flow_id, 0.0)
+            break
+        frozen = dict.fromkeys(
+            flow_id
+            for link, share in enumerate(shares)
+            if share <= bottleneck + maxmin._EPSILON
+            for flow_id in members[link]
+            if flow_id not in rates
+        )
+        for flow_id in frozen:
+            rates[flow_id] = bottleneck
+            for link in flow_routes[flow_id]:
+                res[link] -= bottleneck
+                counts[link] -= 1
+    return rates, [max(r, 0.0) for r in res]
+
+
+@given(
+    flow_routes=st.dictionaries(
+        st.integers(min_value=0, max_value=30), delta_routes(), max_size=12
+    ),
+    capacities=tie_prone_capacities(),
+)
+@settings(max_examples=300, deadline=None)
+def test_slot_space_fill_matches_full_width_filling(flow_routes, capacities):
+    """The slot-space loop gives the full-width textbook loop's rates, in
+    the same ``rates`` order (what the WRR charges depend on), and the
+    same residual."""
+    residual = np.array(capacities, dtype=float)
+    rates = maxmin.water_fill(flow_routes, residual)
+    expected_rates, expected_residual = full_width_fill(flow_routes, capacities)
+    assert list(rates.items()) == list(expected_rates.items())
+    assert residual.tolist() == expected_residual
+
+
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(("add", "remove", "reroute")),
+            st.integers(min_value=0, max_value=7),
+            delta_routes(),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    capacities=tie_prone_capacities(),
+    floor=st.sampled_from((0, 2, maxmin._COMPACT_FLOOR)),
+)
+@settings(max_examples=200, deadline=None)
+def test_delta_maintained_membership_fills_like_a_fresh_one(
+    ops, capacities, floor
+):
+    """After every add/remove/re-route, the fill on the live membership
+    (with whatever dormant slots and compactions its history left) is
+    bit-identical to the fill on one built from scratch."""
+    membership = LinkMembership(DELTA_LINKS)
+    routes = {}
+    with mock.patch.object(maxmin, "_COMPACT_FLOOR", floor):
+        for op, flow_id, route in ops:
+            if op == "add" and flow_id not in routes:
+                membership.add(flow_id, route)
+                routes[flow_id] = route
+            elif op == "remove" and flow_id in routes:
+                membership.remove(flow_id)
+                del routes[flow_id]
+            elif op == "reroute" and flow_id in routes:
+                membership.remove(flow_id)
+                membership.add(flow_id, route)
+                del routes[flow_id]
+                routes[flow_id] = route
+            else:
+                continue
+            fresh = LinkMembership.from_routes(routes, DELTA_LINKS)
+            assert fill_bits(membership, capacities) == fill_bits(
+                fresh, capacities
+            )

@@ -158,6 +158,44 @@ class TestEngineAudit:
         assert report.counts[InvariantChecker.CACHE_COHERENCE] >= 1
         assert "priority change" in report.examples[0].message
 
+    @pytest.mark.parametrize(
+        "corrupt, needle",
+        [
+            (lambda m: m.slot_counts.__setitem__(0, 5), "live slot 0"),
+            (lambda m: m.slot_routes[2].reverse(), "flow 2 slot route"),
+            (
+                lambda m: (
+                    m.slot_links.append(m.slot_links[0]),
+                    m.slot_counts.append(0),
+                    m.slot_members.append({}),
+                ),
+                "a link holds two slots",
+            ),
+        ],
+        ids=["count", "route", "two-slots"],
+    )
+    def test_corrupted_slot_index_detected(self, corrupt, needle):
+        flows = [make_flow(1, (0, 1)), make_flow(2, (1, 2))]
+        request = AllocationRequest(mode=AllocationMode.MAXMIN)
+        engine = self.build_engine(flows, request)
+        corrupt(engine.all_flows)
+        checker = make_checker()
+        checker.audit_engine(engine, flows, request, now=1.0)
+        report = checker.report()
+        assert report.counts[InvariantChecker.CACHE_COHERENCE] == 1
+        assert "slot index" in report.examples[0].message
+        assert needle in report.examples[0].message
+
+    def test_dormant_slots_audit_clean(self):
+        flows = [make_flow(1, (0, 1)), make_flow(2, (1, 2))]
+        request = AllocationRequest(mode=AllocationMode.SPQ, priorities={1: 0})
+        engine = self.build_engine(flows, request)
+        engine.remove_flow(2)  # link 2's slots go dormant
+        engine.allocate(request)
+        checker = make_checker()
+        checker.audit_engine(engine, flows[:1], request, now=1.0)
+        assert checker.report().clean
+
     def test_maxmin_skips_class_audit(self):
         flows = [make_flow(1, (0, 1))]
         spq = AllocationRequest(mode=AllocationMode.SPQ, priorities={1: 0})

@@ -74,8 +74,11 @@ class TestDriftAudit:
     def _layered_residual(self, num_flows):
         """Layer allocations the way WRR does and return the residual."""
         num_links = 5
+        # A route never repeats a link (LinkMembership.add rejects it):
+        # flows whose two hops coincide cross that link once.
         flow_routes = {
-            i: (i % num_links, (i * 3 + 1) % num_links) for i in range(num_flows)
+            i: tuple(dict.fromkeys((i % num_links, (i * 3 + 1) % num_links)))
+            for i in range(num_flows)
         }
         residual = np.array([3.0, 1.0, 7.0, 0.3, 1e-9])
         layer_one = _membership(

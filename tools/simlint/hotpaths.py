@@ -55,6 +55,10 @@ REGISTRY = HotPathRegistry(
         "repro.simulator.bandwidth.maxmin.water_fill",
         "repro.simulator.bandwidth.maxmin.water_fill_membership",
         "repro.simulator.bandwidth.maxmin._water_fill_scalar",
+        # The fill's slot index: its array accessor, and the compaction
+        # a removal triggers once dormant slots outnumber live ones.
+        "repro.simulator.bandwidth.maxmin.LinkMembership.slot_array",
+        "repro.simulator.bandwidth.maxmin.LinkMembership.compact_slots",
         # Incremental allocation engine epoch methods.
         "repro.simulator.bandwidth.engine.AllocationState.allocate",
         "repro.simulator.bandwidth.engine.AllocationState.add_flow",
