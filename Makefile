@@ -7,7 +7,7 @@ export PYTHONPATH := src
 .PHONY: lint file-lint deep-lint deep-baseline perf-lint perf-baseline units-lint units-baseline typecheck ruff test test-fast coverage chaos-smoke resume-smoke bench bench-check gap gap-golden all
 
 ## Everything static in one command: all four simlint layers in one
-## pass (per-file SIM001-SIM006, whole-program --deep SIM101-SIM106,
+## pass (per-file SIM001-SIM005, whole-program --deep SIM101-SIM106,
 ## hot-closure --perf SIM201-SIM207, dimensional/streaming --units
 ## SIM301-SIM308) against the merged committed baselines, plus ruff
 ## and mypy (the latter two need the dev extra).
@@ -17,7 +17,7 @@ lint:
 	$(PYTHON) -m mypy --strict -p repro.simulator -p repro.schedulers \
 		-p repro.experiments -p repro.metrics
 
-## Per-file static analysis only (SIM001-SIM006).
+## Per-file static analysis only (SIM001-SIM005).
 file-lint:
 	$(PYTHON) -m tools.simlint src
 

@@ -42,9 +42,6 @@ class GuritaScheduler(SchedulerPolicy):
     """The paper's contribution: decentralized LBEF over estimated Ψ̈."""
 
     name = "gurita"
-    #: release/demotion class changes are noted precisely, so the
-    #: incremental engine moves only the affected flows between classes.
-    reports_priority_deltas = True
 
     def __init__(self, config: Optional[GuritaConfig] = None) -> None:
         super().__init__()
@@ -90,7 +87,6 @@ class GuritaScheduler(SchedulerPolicy):
         self._coflow_class[coflow.coflow_id] = inherited
         for flow in coflow.flows:
             self._flow_class[flow.flow_id] = inherited
-            self._note_priority_change(flow.flow_id)
         if self._plane is not None:
             self._plane.on_coflow_release(coflow)
 
@@ -205,7 +201,6 @@ class GuritaScheduler(SchedulerPolicy):
         for flow_id in sorted(self._flow_class):
             if self._flow_class[flow_id] != 0:
                 self._flow_class[flow_id] = 0
-                self._note_priority_change(flow_id)
                 changed = True
         for coflow_id in self._coflow_class:
             self._coflow_class[coflow_id] = 0
@@ -236,7 +231,6 @@ class GuritaScheduler(SchedulerPolicy):
             for flow in self.context.coflow(coflow_id).flows:
                 if flow.is_active and self._flow_class.get(flow.flow_id, 0) < new_class:
                     self._flow_class[flow.flow_id] = new_class
-                    self._note_priority_change(flow.flow_id)
                     changed = True
         return changed
 

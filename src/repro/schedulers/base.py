@@ -11,7 +11,7 @@ set DSCP bits and switches enforce them.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.jobs.coflow import Coflow
 from repro.jobs.flow import Flow
@@ -30,6 +30,10 @@ class SchedulerPolicy(abc.ABC):
     call :meth:`on_update` periodically — this models coordination rounds
     such as Gurita's head-receiver updates (interval δ) or Aalo's
     coordinator epochs.
+
+    :meth:`allocation` returns the complete current class map each round;
+    the allocation engine diffs it against the map its class layout was
+    filed under, so a policy never reports which flows it re-classed.
     """
 
     #: Human-readable policy name (used in reports and benchmarks).
@@ -37,15 +41,9 @@ class SchedulerPolicy(abc.ABC):
     #: Seconds between periodic :meth:`on_update` calls; None disables
     #: them, 0.0 means a coordination round after *every* event batch.
     update_interval: Optional[float] = None
-    #: Set True by subclasses that report precise per-flow priority deltas
-    #: via :meth:`_note_priority_change`; the incremental allocation engine
-    #: then moves only the reported flows between priority classes instead
-    #: of diffing the full priority map each round.
-    reports_priority_deltas: bool = False
 
     def __init__(self) -> None:
         self.context: Optional[SchedulerContext] = None
-        self._priority_delta: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Wiring
@@ -53,34 +51,6 @@ class SchedulerPolicy(abc.ABC):
     def bind(self, context: SchedulerContext) -> None:
         """Called once by the runtime before the simulation starts."""
         self.context = context
-
-    # ------------------------------------------------------------------
-    # Priority-delta reporting (consumed by the incremental engine)
-    # ------------------------------------------------------------------
-    def _note_priority_change(self, flow_id: int) -> None:
-        """Record that ``flow_id``'s priority class changed (or was first
-        assigned) since the last allocation round.
-
-        Only meaningful for subclasses with ``reports_priority_deltas``
-        set; a policy that opts in MUST note *every* class change it makes,
-        or the engine will reuse stale class memberships.
-        """
-        self._priority_delta.add(flow_id)
-
-    def consume_priority_delta(self) -> Optional[FrozenSet[int]]:
-        """Flows whose priority class changed since the last call.
-
-        Returns ``None`` when the policy does not track deltas (the engine
-        falls back to a full diff of the priority map), otherwise the —
-        possibly empty — changed-flow set.  Calling this clears the
-        accumulator; the runtime consumes it once per reallocation.
-        """
-        if not self.reports_priority_deltas:
-            self._priority_delta.clear()
-            return None
-        delta = frozenset(self._priority_delta)
-        self._priority_delta.clear()
-        return delta
 
     # ------------------------------------------------------------------
     # Checkpoint contract

@@ -11,10 +11,10 @@ epochs:
 
 * the runtime feeds it **structural deltas** (flow added on release, flow
   removed on completion) instead of a fresh route map every round;
-* **priority deltas** move flows between per-class memberships — either the
-  precise changed-flow set a policy reports through
-  :meth:`repro.schedulers.base.SchedulerPolicy.consume_priority_delta`, or
-  a full diff against the previous round's priority map;
+* **class moves** between per-class memberships are found by diffing the
+  request's priority map against the map the class layout was last filed
+  under; only flows whose raw priority changed, or that entered or left
+  the map, are re-examined — no policy has to report what it changed;
 * when neither structure nor priorities nor request parameters changed, the
   previous rate vector is returned as-is (**cache hit**) without touching
   numpy at all.
@@ -29,8 +29,8 @@ over the same routes and capacities bit for bit; the parity suite
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -63,13 +63,8 @@ class EngineStats:
     capacity_revocations: int = 0
 
     def snapshot(self) -> "EngineStats":
-        return EngineStats(
-            allocations=self.allocations,
-            cache_hits=self.cache_hits,
-            full_rebuilds=self.full_rebuilds,
-            delta_updates=self.delta_updates,
-            capacity_revocations=self.capacity_revocations,
-        )
+        """An independent copy carrying every field."""
+        return replace(self)
 
 
 class AllocationState:
@@ -84,11 +79,14 @@ class AllocationState:
     * flow add/remove marks the structure dirty (cache miss) but only
       touches the changed rows;
     * a priority change moves the flow between class memberships (delta
-      update);
+      update); the engine finds it by diffing the request's map against
+      ``_class_basis``, the map the class layout was last filed under
+      (a MAXMIN request in between leaves that map alone);
     * a change of allocation mode parameters (``num_classes``) discards
       and rebuilds the class memberships (full rebuild);
-    * anything else — identical active set, priorities, and request
-      parameters — is a cache hit returning the previous rates.
+    * anything else — clean structure, equal request parameters and, for
+      a classed request, a priority map equal to ``_class_basis`` — is a
+      cache hit returning the previous rates.
     """
 
     def __init__(self, capacities: Sequence[BytesPerSec]) -> None:
@@ -98,7 +96,10 @@ class AllocationState:
         self._num_classes: Optional[int] = None
         #: effective (clamped) class per flow, valid when class members exist
         self._class_of: Dict[int, int] = {}
-        self._priorities: Dict[int, int] = {}
+        #: raw priority map the class layout reflects: every active flow
+        #: sits in the clamped class of its entry here, or in the lowest
+        #: class when it has none (flows added since the last filing)
+        self._class_basis: Dict[int, int] = {}
         self._params: Optional[Tuple[object, ...]] = None
         self._structure_dirty = True
         self._last_rates: Dict[int, BytesPerSec] = {}
@@ -156,6 +157,7 @@ class AllocationState:
             cls = self._num_classes - 1
             self._class_members[cls].add(flow_id, route)
             self._class_of[flow_id] = cls
+            self._class_basis.pop(flow_id, None)
         self._structure_dirty = True
         self.stats.delta_updates += 1
 
@@ -165,7 +167,7 @@ class AllocationState:
         self.all_flows.remove(flow_id)
         if self._class_members is not None:
             self._class_members[self._class_of.pop(flow_id)].remove(flow_id)
-        self._priorities.pop(flow_id, None)
+            self._class_basis.pop(flow_id, None)
         self._structure_dirty = True
         self.stats.delta_updates += 1
 
@@ -173,10 +175,12 @@ class AllocationState:
     def update_route(self, flow_id: int, route: Route) -> None:
         """A live flow moved to a new route (fault-driven reroute).
 
-        Unlike remove+add, the flow's cached class assignment survives —
-        essential for policies that report precise priority deltas, which
-        would otherwise never re-report the unchanged class and leave the
-        flow misfiled in the lowest class.
+        Unlike remove+add, the flow stays filed in its class: it is
+        re-appended to that class membership at once, in reroute order.
+        remove+add would file it in the lowest class and leave the next
+        priority diff to move it back, among that round's other moves in
+        flow-id order.  Membership order feeds the fill's float sums, so
+        that detour could change rates in the last bit.
         """
         self.all_flows.remove(flow_id)
         self.all_flows.add(flow_id, route)
@@ -216,37 +220,33 @@ class AllocationState:
     # Allocation
     # ------------------------------------------------------------------
     @hot_path
-    def allocate(
-        self,
-        request: AllocationRequest,
-        priority_delta: Optional[FrozenSet[int]] = None,
-    ) -> Dict[int, BytesPerSec]:
+    def allocate(self, request: AllocationRequest) -> Dict[int, BytesPerSec]:
         """Rates for ``request`` over the currently active flows.
 
-        ``priority_delta`` is the policy-reported set of flows whose class
-        changed since the last round (``None`` = unknown, do a full diff).
         The returned dict is the engine's cache — callers must not mutate
         it.
         """
         self.stats.allocations += 1
         params = request.params_key()
-        params_changed = params != self._params
         needs_classes = request.mode is not AllocationMode.MAXMIN
 
-        if not self._structure_dirty and not params_changed:
-            if self._unchanged_priorities(request, priority_delta, needs_classes):
-                self.stats.cache_hits += 1
-                return self._last_rates
+        if (
+            not self._structure_dirty
+            and params == self._params
+            and (not needs_classes or request.priorities == self._class_basis)
+        ):
+            self.stats.cache_hits += 1
+            return self._last_rates
 
         if needs_classes:
             if self._class_members is None or self._num_classes != request.num_classes:
                 self._rebuild_class_members(request)
             else:
-                self._apply_priority_deltas(request, priority_delta)
+                self._move_reclassed_flows(request)
+            self._class_basis = dict(request.priorities)
 
         rates = self._compute(request)
         self._params = params
-        self._priorities = dict(request.priorities)
         self._structure_dirty = False
         self._last_rates = rates
         return rates
@@ -254,18 +254,6 @@ class AllocationState:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _unchanged_priorities(
-        self,
-        request: AllocationRequest,
-        priority_delta: Optional[FrozenSet[int]],
-        needs_classes: bool,
-    ) -> bool:
-        if not needs_classes:
-            return True  # MAXMIN ignores priorities entirely
-        if priority_delta is not None:
-            return not priority_delta
-        return request.priorities == self._priorities
-
     def _effective_class(self, request: AllocationRequest, flow_id: int) -> int:
         cls = request.priorities.get(flow_id, request.num_classes - 1)
         return min(max(cls, 0), request.num_classes - 1)
@@ -287,30 +275,37 @@ class AllocationState:
         self._num_classes = request.num_classes
         self.stats.full_rebuilds += 1
 
-    def _apply_priority_deltas(
-        self,
-        request: AllocationRequest,
-        priority_delta: Optional[FrozenSet[int]],
-    ) -> None:
-        """Move re-classed flows between class memberships."""
+    def _move_reclassed_flows(self, request: AllocationRequest) -> None:
+        """Move re-classed flows between class memberships.
+
+        Only flows whose raw priority differs from ``_class_basis``, or
+        that entered or left the map, can have changed class.  Entries
+        for flows that are not active are ignored, as
+        :func:`~repro.simulator.bandwidth.request.dispatch_allocation`
+        ignores them.
+        """
         assert self._class_members is not None
-        candidates = (
-            priority_delta
-            if priority_delta is not None
-            else self.all_flows.routes.keys()
-        )
+        basis = self._class_basis
+        priorities = request.priorities
+        if priorities == basis:
+            return  # the common round: flows finished, none re-classed
+        class_of = self._class_of
+        candidates = [
+            flow_id
+            for flow_id, priority in priorities.items()
+            if basis.get(flow_id) != priority and flow_id in class_of
+        ]
+        candidates.extend((basis.keys() - priorities.keys()) & class_of.keys())
         # Deterministic application order: class-membership insertion order
-        # must not depend on set iteration order (SIM003).
+        # must not depend on dict or set iteration order (SIM003).
         for flow_id in sorted(candidates):
-            route = self.all_flows.routes.get(flow_id)
-            if route is None:  # reported but already finished
-                continue
             cls = self._effective_class(request, flow_id)
-            old = self._class_of[flow_id]
+            old = class_of[flow_id]
             if cls != old:
+                route = self.all_flows.routes[flow_id]
                 self._class_members[old].remove(flow_id)
                 self._class_members[cls].add(flow_id, route)
-                self._class_of[flow_id] = cls
+                class_of[flow_id] = cls
                 self.stats.delta_updates += 1
 
     def _compute(self, request: AllocationRequest) -> Dict[int, BytesPerSec]:

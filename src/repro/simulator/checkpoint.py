@@ -64,7 +64,7 @@ __all__ = [
 #: Schema version of the on-disk checkpoint format.  Bump on any change
 #: to the snapshot payload structure; readers reject other versions
 #: rather than guessing.
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 _MAGIC = "repro-checkpoint"
 

@@ -16,8 +16,8 @@ simulator-vs-theory gaps in coflow-scheduling evaluations:
   the live :class:`~repro.simulator.bandwidth.engine.AllocationState`,
   and checks each membership's slot index against its link view.
   This is the race-detector analogue for the engine's delta-maintained
-  caches: a policy that opts into ``reports_priority_deltas`` but fails to
-  report a class change shows up here, not as a silently wrong JCT.
+  caches: a flow the engine's priority diff left in the wrong class
+  shows up here, not as a silently wrong JCT.
 
 The checker is **off by default** (zero hot-path cost).  Enable it per run
 with ``CoflowSimulation(..., check_invariants=True)`` or process-wide with
@@ -426,7 +426,7 @@ class InvariantChecker:
                     self.CACHE_COHERENCE,
                     now,
                     f"flow {flow_id} cached in class {actual_cls}, request "
-                    f"says {expected_cls} (unreported priority change?)",
+                    f"says {expected_cls} (priority change not filed)",
                 )
         for cls, membership in enumerate(class_members):
             for flow_id in sorted(membership.routes):

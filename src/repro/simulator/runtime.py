@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
 from repro.errors import NoPathError, SimulationError
 from repro.jobs.coflow import Coflow
@@ -179,7 +179,7 @@ class CoflowSimulation:
         self._queue = EventQueue()
         #: pristine capacity vector; repairs restore revoked links from it
         self._nominal_caps: List[float] = self.topology.links.capacities()
-        #: persistent allocation state, fed add/remove/priority deltas
+        #: persistent allocation state, fed add/remove/reroute deltas
         self.engine = AllocationState(self._nominal_caps)
         #: opt-in invariant checking (flag wins; env var is the default)
         env_enabled, env_strict = invariants_from_env()
@@ -216,10 +216,6 @@ class CoflowSimulation:
         self._parked_since: Dict[int, float] = {}
         #: δ-round counter indexing the HR channel's fault stream
         self._hr_round = 0
-        #: flows the fault machinery re-inserted into the engine; unioned
-        #: into the next round's priority delta so delta-reporting
-        #: policies do not leave them misfiled in the lowest class
-        self._forced_priority_delta: Set[int] = set()
         #: True once :meth:`run` has scheduled arrivals, the first update
         #: round, and the fault timeline; a restored simulation comes back
         #: with this set so resuming never re-bootstraps.
@@ -347,7 +343,6 @@ class CoflowSimulation:
         "_parked",
         "_parked_since",
         "_hr_round",
-        "_forced_priority_delta",
         "_started",
     )
 
@@ -759,10 +754,6 @@ class CoflowSimulation:
             del self._parked[flow_id]
             self._active[flow_id] = flow
             self.engine.add_flow(flow_id, route)
-            # add_flow files the flow in the lowest class; make sure the
-            # next allocation re-files it under its true class even for
-            # policies that report precise priority deltas.
-            self._forced_priority_delta.add(flow_id)
             injector.stats.flows_recovered += 1
             injector.stats.recovery_seconds.append(
                 self._now - self._parked_since.pop(flow_id)
@@ -817,14 +808,7 @@ class CoflowSimulation:
         if not active:
             return
         request = self.scheduler.allocation(active, self._now)
-        priority_delta = self.scheduler.consume_priority_delta()
-        if self._forced_priority_delta:
-            if priority_delta is not None:
-                priority_delta = priority_delta | frozenset(
-                    self._forced_priority_delta
-                )
-            self._forced_priority_delta.clear()
-        rates = self.engine.allocate(request, priority_delta=priority_delta)
+        rates = self.engine.allocate(request)
         if self.invariants is not None:
             self.invariants.check_allocation(active, rates, self._now)
             self.invariants.maybe_audit_engine(

@@ -37,8 +37,8 @@ def oracle(monkeypatch):
     checked = []
     allocate = AllocationState.allocate
 
-    def allocate_and_check(self, request, priority_delta=None):
-        rates = allocate(self, request, priority_delta=priority_delta)
+    def allocate_and_check(self, request):
+        rates = allocate(self, request)
         capacities = [
             self.capacity_of(link_id)
             for link_id in range(self.all_flows.num_links)

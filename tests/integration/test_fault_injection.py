@@ -235,6 +235,34 @@ class TestInvariantsUnderFaults:
         assert result.invariant_report is not None
         assert result.invariant_report.clean
 
+    def test_unparked_flows_are_refiled_in_their_class(self):
+        """A host crash parks gurita's flows (engine remove); recovery
+        unparks them (engine add, lowest class).  The engine's priority
+        diff must move each back to its class by the next allocation."""
+        config = FAULTED.with_overrides(schedulers=("gurita",))
+        topology = build_topology(config)
+        jobs = build_jobs(config, topology.num_hosts)
+        crashes = tuple(
+            HostFault(host=host, at=0.042, duration=0.002, policy=POLICY_RESUME)
+            for host in range(4)
+        )
+        sim = CoflowSimulation(
+            topology,
+            make_scheduler("gurita"),
+            jobs,
+            check_invariants=True,
+            strict_invariants=True,
+            faults=FaultProfile(name="park-unpark", specs=crashes, seed=1),
+        )
+        assert sim.invariants is not None
+        sim.invariants.audit_interval = 1  # audit every allocation
+        result = sim.run()
+        assert result.fault_stats is not None
+        assert result.fault_stats.flows_parked > 0
+        assert result.fault_stats.flows_recovered > 0
+        assert result.invariant_report is not None
+        assert result.invariant_report.clean
+
     def test_resume_policy_preserves_progress(self):
         config = FAULTED.with_overrides(schedulers=("pfs",))
         topology = build_topology(config)

@@ -163,7 +163,7 @@ def apply_engine_ops(state, ops):
             request = AllocationRequest(
                 mode=AllocationMode.SPQ, priorities=dict(arg), num_classes=4
             )
-            rates.append(dict(state.allocate(request, priority_delta=None)))
+            rates.append(dict(state.allocate(request)))
     return rates
 
 

@@ -88,8 +88,10 @@ class TestFileFormat:
         with open(path, "rb") as handle:
             payload = pickle.load(handle)
         # Schema 1 snapshots carry a capacity mirror and may hold no
-        # engine; neither restores into the current simulation.
-        for schema in (1, CHECKPOINT_SCHEMA + 1):
+        # engine; schema 2 ones carry the runtime's forced re-filing set
+        # and the scheduler's delta accumulator.  Neither restores into
+        # the current simulation.
+        for schema in (1, 2, CHECKPOINT_SCHEMA + 1):
             payload["schema"] = schema
             path.write_bytes(pickle.dumps(payload, protocol=4))
             with pytest.raises(CheckpointError, match=f"schema {schema} "):

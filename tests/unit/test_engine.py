@@ -1,5 +1,7 @@
 """Unit tests for the incremental allocation engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.simulator.bandwidth.engine import AllocationState, EngineStats
@@ -133,43 +135,49 @@ class TestPriorityModes:
 
     def test_empty_delta_hint_is_cache_hit(self):
         state = fresh_state()
-        state.allocate(_request(AllocationMode.SPQ, PRIORITIES))
-        # Different dict identity, but the policy vouches nothing changed.
-        rates = state.allocate(
-            _request(AllocationMode.SPQ, PRIORITIES), priority_delta=frozenset()
-        )
+        first = state.allocate(_request(AllocationMode.SPQ, PRIORITIES))
+        moves = state.stats.delta_updates
+        # A map rebuilt in another insertion order has an empty diff
+        # against the basis: no flow moves and the cached rates return.
+        reordered = dict(reversed(list(PRIORITIES.items())))
+        rates = state.allocate(_request(AllocationMode.SPQ, reordered))
+        assert rates is first
         assert state.stats.cache_hits == 1
-        assert rates == state.allocate(_request(AllocationMode.SPQ, PRIORITIES))
+        assert state.stats.delta_updates == moves
 
-    def test_delta_hint_matches_full_diff(self):
-        hinted = fresh_state()
-        diffed = fresh_state()
-        hinted.allocate(
-            _request(AllocationMode.WRR, PRIORITIES),
-            priority_delta=frozenset(PRIORITIES),
+    def test_diff_moves_only_reclassed_flows(self):
+        state = fresh_state()
+        state.allocate(_request(AllocationMode.WRR, {1: 0, 2: 5, 3: 0, 4: 2}))
+        moves = state.stats.delta_updates
+        # Flow 2's raw class changes but still clamps to class 3 of 4;
+        # flow 3 really moves; flow 4 leaves the map (lowest class).
+        moved = {1: 0, 2: 9, 3: 2}
+        rates = state.allocate(_request(AllocationMode.WRR, moved))
+        assert state.stats.delta_updates == moves + 2
+        assert state.class_of == {1: 0, 2: 3, 3: 2, 4: 3}
+        assert rates == dispatch_allocation(
+            _request(AllocationMode.WRR, moved), ROUTES, CAPS
         )
-        diffed.allocate(_request(AllocationMode.WRR, PRIORITIES))
-        moved = {**PRIORITIES, 3: 2}
-        via_hint = hinted.allocate(
-            _request(AllocationMode.WRR, moved), priority_delta=frozenset({3})
-        )
-        via_diff = diffed.allocate(_request(AllocationMode.WRR, moved))
-        assert via_hint == pytest.approx(via_diff, abs=1e-12)
 
-    def test_delta_hint_with_finished_flow_is_ignored(self):
+    def test_map_entries_for_inactive_flows_are_ignored(self):
         state = fresh_state()
         state.allocate(_request(AllocationMode.SPQ, PRIORITIES))
         state.remove_flow(4)
-        remaining = {f: c for f, c in PRIORITIES.items() if f != 4}
-        rates = state.allocate(
-            _request(AllocationMode.SPQ, remaining),
-            priority_delta=frozenset({4}),  # stale report: flow 4 finished
-        )
+        # Flow 4 finished and flow 9 is not active yet; both keep entries.
+        stale = {**PRIORITIES, 9: 0}
+        rates = state.allocate(_request(AllocationMode.SPQ, stale))
         routes = {f: r for f, r in ROUTES.items() if f != 4}
-        expected = dispatch_allocation(
-            _request(AllocationMode.SPQ, remaining), routes, CAPS
+        assert rates == dispatch_allocation(
+            _request(AllocationMode.SPQ, stale), routes, CAPS
         )
-        assert rates == pytest.approx(expected, abs=1e-12)
+        # Flow 9 activates with the same raw class the basis recorded; it
+        # must still leave the lowest class it was filed in on add.
+        state.add_flow(9, (2,))
+        rates = state.allocate(_request(AllocationMode.SPQ, stale))
+        assert state.class_of[9] == 0
+        assert rates == dispatch_allocation(
+            _request(AllocationMode.SPQ, stale), {**routes, 9: (2,)}, CAPS
+        )
 
     def test_num_classes_change_forces_rebuild(self):
         state = fresh_state()
@@ -212,6 +220,16 @@ class TestEngineStats:
         stats.allocations = 99
         assert snap.allocations == 3
         assert snap.cache_hits == 1
+
+    def test_snapshot_carries_every_field(self):
+        values = {
+            field.name: index + 1
+            for index, field in enumerate(dataclasses.fields(EngineStats))
+        }
+        stats = EngineStats(**values)
+        snap = stats.snapshot()
+        assert snap is not stats
+        assert dataclasses.asdict(snap) == values
 
     def test_counters_accumulate(self):
         state = fresh_state()

@@ -227,23 +227,6 @@ class TestGuritaHooks:
         for flow in released.flows:
             assert scheduler._flow_class[flow.flow_id] == 0
 
-    def test_priority_delta_reporting(self, ids):
-        """Gurita reports the exact changed-flow set for the incremental
-        engine, and the accumulator clears on consumption."""
-        scheduler = GuritaScheduler()
-        assert scheduler.reports_priority_deltas is True
-        job, first, _second = _two_stage_job(ids, [100.0], [10.0])
-        scheduler.on_job_arrival(job, 0.0)
-        scheduler.context = _FakeContext(job)
-        for coflow in job.arrive(0.0):
-            coflow.release(0.0)
-            scheduler.on_coflow_release(coflow, 0.0)
-        flow_ids = {f.flow_id for f in job.coflow(first).flows}
-        assert scheduler.consume_priority_delta() == frozenset(flow_ids)
-        assert scheduler.consume_priority_delta() == frozenset()
-        scheduler._apply_decision(first, 2)
-        assert scheduler.consume_priority_delta() == frozenset(flow_ids)
-
 
 class TestGuritaPlus:
     def test_no_periodic_updates(self):

@@ -3,8 +3,8 @@
 Every test is parameterized over the full registry, so a newly registered
 policy is automatically held to the same contract as the paper's
 comparators: honest registration metadata, fresh state per instantiation,
-deterministic replays, sane allocation requests, and a priority-delta
-protocol that matches its ``reports_priority_deltas`` declaration.
+deterministic replays, sane allocation requests, and class maps the
+allocation engine files exactly (its diff misses no class move).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from repro.simulator.bandwidth.request import (
     AllocationMode,
     AllocationRequest,
 )
-from repro.simulator.runtime import simulate
+from repro.simulator.runtime import CoflowSimulation, simulate
 from repro.simulator.topology.bigswitch import BigSwitchTopology
 from repro.workloads.generator import synthesize_workload
 
@@ -68,7 +68,10 @@ class TestRegistration:
     def test_fresh_instance_and_state_per_make(self, name):
         first, second = make_scheduler(name), make_scheduler(name)
         assert first is not second
-        assert first._priority_delta is not second._priority_delta
+        second_state = vars(second)
+        for key, value in vars(first).items():
+            if isinstance(value, (dict, list, set)):
+                assert value is not second_state[key], key
         assert first.context is None
 
     def test_update_interval_declaration(self, name):
@@ -78,27 +81,19 @@ class TestRegistration:
         )
 
 
-class TestPriorityDeltaProtocol:
-    def test_consume_matches_declaration(self, name):
-        policy = make_scheduler(name)
-        delta = policy.consume_priority_delta()
-        if policy.reports_priority_deltas:
-            assert delta == frozenset()
-        else:
-            assert delta is None
-
-    def test_noted_changes_round_trip_and_clear(self, name):
-        policy = make_scheduler(name)
-        policy._note_priority_change(7)
-        policy._note_priority_change(9)
-        delta = policy.consume_priority_delta()
-        if policy.reports_priority_deltas:
-            assert delta == frozenset({7, 9})
-            # The accumulator is consumed exactly once per round.
-            assert policy.consume_priority_delta() == frozenset()
-        else:
-            assert delta is None
-            assert not policy._priority_delta
+class TestClassFiling:
+    def test_engine_files_request_classes(self, name):
+        sim = CoflowSimulation(
+            BigSwitchTopology(num_hosts=NUM_HOSTS),
+            make_scheduler(name),
+            small_workload(),
+            check_invariants=True,
+            strict_invariants=True,
+        )
+        assert sim.invariants is not None
+        sim.invariants.audit_interval = 1  # audit every allocation
+        report = sim.run().invariant_report
+        assert report is not None and report.clean
 
 
 class TestDeterminism:

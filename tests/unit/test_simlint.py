@@ -268,40 +268,6 @@ class TestMutableDefault:
 
 
 # ----------------------------------------------------------------------
-# SIM006 — priority-delta contract
-# ----------------------------------------------------------------------
-class TestPriorityDeltaContract:
-    def test_opt_in_without_reporting_fires(self):
-        src = """
-            class Policy(SchedulerPolicy):
-                reports_priority_deltas = True
-
-                def allocation(self, active_flows, now):
-                    return build_request(active_flows)
-        """
-        assert codes(lint(src, path="src/repro/schedulers/example.py")) == [
-            "SIM006"
-        ]
-
-    def test_opt_in_with_reporting_clean(self):
-        src = """
-            class Policy(SchedulerPolicy):
-                reports_priority_deltas = True
-
-                def promote(self, flow_id):
-                    self._note_priority_change(flow_id)
-        """
-        assert lint(src, path="src/repro/schedulers/example.py").clean
-
-    def test_opt_out_clean(self):
-        src = """
-            class Policy(SchedulerPolicy):
-                reports_priority_deltas = False
-        """
-        assert lint(src, path="src/repro/schedulers/example.py").clean
-
-
-# ----------------------------------------------------------------------
 # Pragmas
 # ----------------------------------------------------------------------
 class TestPragmas:

@@ -12,7 +12,7 @@ Usage (API)::
     report = lint_paths(["src"])
     assert report.clean, report.render_human()
 
-The rule catalog (SIM001–SIM006) and how to extend it are documented in
+The rule catalog (SIM001–SIM005) and how to extend it are documented in
 ``docs/static-analysis.md``.
 """
 

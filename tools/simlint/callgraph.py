@@ -1,6 +1,6 @@
 """Whole-program module/function/call-graph model for ``simlint --deep``.
 
-The per-file rules (SIM001-SIM006) are statement-local; the deep analyzer
+The per-file rules (SIM001-SIM005) are statement-local; the deep analyzer
 needs to see *across* files: which module a name was imported from, which
 function a call resolves to, and which class an attribute holds.  This
 module builds that picture:

@@ -101,10 +101,9 @@ REGISTRY = HotPathRegistry(
         "repro.simulator.bandwidth.request.AllocationRequest.params_key",
         "repro.simulator.bandwidth.request.dispatch_allocation",
         # Engine internals behind the epoch methods.
-        "repro.simulator.bandwidth.engine.AllocationState._unchanged_priorities",
         "repro.simulator.bandwidth.engine.AllocationState._effective_class",
         "repro.simulator.bandwidth.engine.AllocationState._rebuild_class_members",
-        "repro.simulator.bandwidth.engine.AllocationState._apply_priority_deltas",
+        "repro.simulator.bandwidth.engine.AllocationState._move_reclassed_flows",
         "repro.simulator.bandwidth.engine.AllocationState._compute",
         # Blessed time comparison helpers (called per event batch).
         "repro.simulator.timecmp.time_resolution",

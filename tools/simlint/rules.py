@@ -19,10 +19,6 @@ SIM003    iteration over a ``set``/``frozenset``/``dict.keys()`` result
 SIM004    float ``==``/``!=`` on simulation timestamps outside the blessed
           tolerance helpers (:mod:`repro.simulator.timecmp`)
 SIM005    mutable default arguments (shared state across calls)
-SIM006    a ``SchedulerPolicy`` subclass that sets
-          ``reports_priority_deltas = True`` but never calls
-          ``_note_priority_change`` — the incremental engine would reuse
-          stale class memberships
 ========  ==================================================================
 
 Adding a rule: subclass :class:`Rule`, give it a fresh ``code``, implement
@@ -35,7 +31,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from tools.simlint.findings import Finding
 
@@ -489,66 +485,6 @@ class MutableDefaultRule(Rule):
         return findings
 
 
-# ----------------------------------------------------------------------
-# SIM006 — priority-delta contract
-# ----------------------------------------------------------------------
-class PriorityDeltaContractRule(Rule):
-    code = "SIM006"
-    name = "priority-delta-contract"
-    description = (
-        "SchedulerPolicy subclass sets reports_priority_deltas = True but "
-        "never calls _note_priority_change; the incremental engine would "
-        "reuse stale class memberships"
-    )
-
-    def check(self, ctx: LintContext) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            opt_in = self._opt_in_statement(node)
-            if opt_in is None:
-                continue
-            if not self._calls_note_priority_change(node):
-                findings.append(
-                    self.finding(
-                        ctx,
-                        opt_in,
-                        f"class '{node.name}' sets reports_priority_deltas = "
-                        "True but never calls _note_priority_change",
-                    )
-                )
-        return findings
-
-    @staticmethod
-    def _opt_in_statement(cls: ast.ClassDef) -> Optional[ast.stmt]:
-        for stmt in cls.body:
-            targets: Iterable[ast.expr] = ()
-            value: Optional[ast.expr] = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "reports_priority_deltas"
-                    and isinstance(value, ast.Constant)
-                    and value.value is True
-                ):
-                    return stmt
-        return None
-
-    @staticmethod
-    def _calls_note_priority_change(cls: ast.ClassDef) -> bool:
-        for node in ast.walk(cls):
-            if isinstance(node, ast.Call):
-                name = terminal_identifier(node.func)
-                if name == "_note_priority_change":
-                    return True
-        return False
-
-
 #: The rule registry, in code order.
 ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
@@ -556,7 +492,6 @@ ALL_RULES: Tuple[Rule, ...] = (
     UnsortedSetIterationRule(),
     TimestampEqualityRule(),
     MutableDefaultRule(),
-    PriorityDeltaContractRule(),
 )
 
 RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in ALL_RULES}
